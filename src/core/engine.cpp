@@ -8,6 +8,9 @@
 #include "core/explain.hpp"
 #include "eval/acyclic.hpp"
 #include "eval/counting.hpp"
+#include "eval/eval_context.hpp"
+#include "eval/fo.hpp"
+#include "eval/naive.hpp"
 #include "query/comparison_closure.hpp"
 #include "query/parser.hpp"
 #include "relational/storage_cache_stats.hpp"
@@ -32,13 +35,6 @@ TextKind SniffKind(const std::string& text) {
     return TextKind::kDatalogProgram;
   }
   return TextKind::kRule;
-}
-
-// Engine-level limits override the per-evaluator options (whose own legacy
-// aliases apply only where the engine sets nothing).
-ResourceLimits Overlay(const ResourceLimits& engine,
-                       const ResourceLimits& evaluator) {
-  return engine.MergedWith(evaluator.max_rows, evaluator.max_steps);
 }
 
 // The empty answer in the query's answer shape: no rows for tuple and
@@ -159,291 +155,310 @@ Engine::Engine(const Database& db, EngineOptions options)
       "pq_operator_rows", "rows produced per executed plan operator");
 }
 
-RuntimeOptions Engine::Runtime() const {
+// Everything one query owns, on the stack of the thread that runs it: its
+// stats, the scheduler reference it holds for its length, its abort context
+// (when the engine arms one) and its tracer.
+struct Engine::QueryRun {
+  EngineStats stats;
+  std::shared_ptr<TaskScheduler> scheduler;
+  std::unique_ptr<QueryContext> own_ctx;
+  QueryContext* qc = nullptr;
+  std::shared_ptr<Tracer> tracer;
+};
+
+std::shared_ptr<TaskScheduler> Engine::AcquireScheduler() const {
   size_t want = options_.threads == 0 ? TaskScheduler::HardwareConcurrency()
                                       : options_.threads;
   // Sanity bound: an absurd width would die spawning real threads.
   want = std::min<size_t>(want, 1024);
-  plan_cache_.set_capacity(options_.plan_cache_capacity);
-  RuntimeOptions runtime;
-  runtime.morsel_rows = options_.morsel_rows;
-  runtime.vec_min_source_rows = options_.vec_min_source_rows;
-  runtime.metrics = &query_metrics_;
-  runtime.analyze = analyze_;
-  if (options_.trace) {
-    if (tracer_ == nullptr) tracer_ = std::make_unique<Tracer>();
-    runtime.tracer = tracer_.get();
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
   if (want <= 1) {
     scheduler_.reset();  // back to sequential: drop the idle pool
-    return runtime;
+    return nullptr;
   }
   if (scheduler_ == nullptr || scheduler_->threads() != want) {
-    scheduler_ = std::make_unique<TaskScheduler>(want);
+    scheduler_ = std::make_shared<TaskScheduler>(want);
   }
-  runtime.scheduler = scheduler_.get();
-  return runtime;
+  return scheduler_;
 }
 
-Result<Relation> Engine::Run(const ConjunctiveQuery& q) const {
-  stats_ = EngineStats{};
-  TraceSpan query_span(PrepareTracer(), "query", "cq");
-  Timer timer;
+QueryContext* Engine::ArmQueryContext(QueryRun* run) const {
+  const uint64_t wall = options_.limits.max_wall_ms;
+  const uint64_t bytes = options_.limits.max_bytes;
+  QueryContext* qc = options_.query_ctx;
+  if (qc == nullptr) {
+    if (wall == 0 && bytes == 0) return nullptr;
+    run->own_ctx = std::make_unique<QueryContext>();
+    qc = run->own_ctx.get();
+  }
+  // A caller's context keeps its cancellation state: sticky until the
+  // caller Reset()s it.
+  if (wall != 0) qc->ArmDeadline(wall);
+  if (bytes != 0) qc->ArmMemory(bytes);
+  return qc;
+}
+
+template <typename Route>
+Result<Relation> Engine::Execute(const char* kind, PlanCapture* analyze,
+                                 EngineStats* out, Route&& route) const {
+  QueryRun run;
+  run.scheduler = AcquireScheduler();
+  plan_cache_.set_capacity(options_.plan_cache_capacity);
+  if (options_.trace) {
+    run.tracer = std::make_shared<Tracer>();
+    run.tracer->Clear();  // the calling thread becomes track 0
+  }
   // Hardening: arm the query context (deadline / memory budget /
   // cancellation token) and account every RowBlock allocated on this thread
   // — worker threads inherit the accountant through TaskGroup::Spawn.
-  QueryContext* qc = ArmQueryContext();
-  ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  // Every exit refreshes the cumulative cache counters, error and
-  // early-return paths included — .stats must never show stale zeros for a
-  // cache that still holds entries.
-  auto finish = [&](Result<Relation> r) {
-    stats_.plan_cache = plan_cache_.stats();
-    FinishQuery(timer.Seconds(), r.status(), qc);
+  run.qc = ArmQueryContext(&run);
+  EvalContext ctx;
+  ctx.limits = options_.limits;
+  ctx.runtime.scheduler = run.scheduler.get();
+  ctx.runtime.morsel_rows = options_.morsel_rows;
+  ctx.runtime.vec_min_source_rows = options_.vec_min_source_rows;
+  ctx.runtime.query_ctx = run.qc;
+  ctx.runtime.tracer = run.tracer.get();
+  ctx.runtime.metrics = &query_metrics_;
+  ctx.runtime.analyze = analyze;
+  ctx.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
+  ctx.vectorize = options_.vectorize;
+  ctx.wcoj = options_.wcoj;
+  Result<Relation> result = [&] {
+    TraceSpan query_span(run.tracer.get(), "query", kind);
+    Timer timer;
+    ScopedMemoryAccounting accounting(
+        run.qc != nullptr ? run.qc->memory() : nullptr);
+    Result<Relation> r = route(ctx, &run.stats);
+    // Every exit refreshes the cumulative cache counters, error and
+    // early-return paths included — .stats must never show stale zeros for
+    // a cache that still holds entries.
+    run.stats.plan_cache = plan_cache_.stats();
+    FinishQuery(timer.Seconds(), r.status(), &run);
     return r;
-  };
-  if (Status s = q.Validate(); !s.ok()) return finish(std::move(s));
-  const ConjunctiveQuery* effective = &q;
-  ComparisonClosure closure;
-  if (q.HasComparisons() && !q.HasOnlyInequalities()) {
-    auto collapsed = CollapseComparisons(q);
-    if (!collapsed.ok()) return finish(collapsed.status());
-    closure = std::move(collapsed).value();
-    if (!closure.consistent) return finish(EmptyAnswer(q));
-    effective = &closure.rewritten;
-    // The collapse is count-preserving (merging equal variables bijects the
-    // satisfying assignments), but it can merge or constant-fold a GROUP
-    // key, leaving an invalid counting head; count over the original query
-    // then — the enumeration route applies the comparisons directly.
-    if (q.answer.counting() && !effective->Validate().ok()) effective = &q;
-  }
-  if (q.answer.counting()) {
-    m_.counting_queries->Increment();
-    CountingOptions cnt;
-    cnt.limits = Overlay(options_.limits, options_.acyclic.EffectiveLimits());
-    cnt.runtime = Runtime();
-    cnt.runtime.query_ctx = qc;
-    cnt.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-    cnt.full_reducer = options_.acyclic.full_reducer;
-    cnt.vectorize = options_.vectorize;
-    cnt.wcoj = options_.wcoj;
-    auto result = CountingEvaluate(*db_, *effective, cnt, &stats_.plan);
-    if (result.ok() && q.answer.kind == AnswerSpec::Kind::kGroupedCount) {
-      m_.count_groups->Observe(result.value().size());
-    }
-    return finish(std::move(result));
-  }
-  if (effective->body.empty()) {
-    // No relational atoms: the head must be constant-only (safety).
-    Relation out(effective->head.size());
-    ValueVec row;
-    for (const Term& t : effective->head) row.push_back(t.value());
-    out.Add(row);
-    return finish(std::move(out));
-  }
-  if (effective->IsAcyclic()) {
-    if (!effective->HasComparisons()) {
-      AcyclicOptions eff = options_.acyclic;
-      eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-      eff.max_rows = 0;
-      eff.runtime = Runtime();
-      eff.runtime.query_ctx = qc;
-      eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-      return finish(AcyclicEvaluate(*db_, *effective, eff, &stats_.acyclic,
-                                    &stats_.plan));
-    }
-    if (effective->HasOnlyInequalities()) {
-      // Theorem 2 route: since the plan lowering, this is plan-routed too —
-      // it inherits the unified limits, the parallel runtime, and the plan
-      // cache (one residual plan per query, re-executed per coloring).
-      IneqOptions ineq = options_.inequality;
-      ineq.limits = Overlay(options_.limits, ineq.EffectiveLimits());
-      ineq.max_rows = 0;
-      ineq.runtime = Runtime();
-      ineq.runtime.query_ctx = qc;
-      ineq.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-      return finish(
-          IneqEvaluate(*db_, *effective, ineq, &stats_.ineq, &stats_.plan));
-    }
-  }
-  NaiveOptions eff = options_.naive;
-  eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-  eff.max_steps = 0;
-  eff.runtime = Runtime();
-  eff.runtime.query_ctx = qc;
-  eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-  eff.vectorize = options_.vectorize;
-  eff.wcoj = options_.wcoj;
-  return finish(NaiveEvaluateCq(*db_, *effective, eff, &stats_.plan));
-}
-
-Result<Relation> Engine::Run(const PositiveQuery& q) const {
-  stats_ = EngineStats{};
-  TraceSpan query_span(PrepareTracer(), "query", "ucq");
-  Timer timer;
-  QueryContext* qc = ArmQueryContext();
-  ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  UcqOptions eff = options_.ucq;
-  eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-  eff.naive_max_steps = 0;
-  eff.runtime = Runtime();
-  eff.runtime.query_ctx = qc;
-  eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-  eff.vectorize = options_.vectorize;
-  const bool counting = q.fo().answer.counting();
-  if (counting) m_.counting_queries->Increment();
-  auto result = counting ? EvaluatePositiveCount(*db_, q, eff, &stats_.ucq)
-                         : EvaluatePositive(*db_, q, eff, &stats_.ucq);
-  if (counting && result.ok() &&
-      q.fo().answer.kind == AnswerSpec::Kind::kGroupedCount) {
-    m_.count_groups->Observe(result.value().size());
-  }
-  stats_.plan = stats_.ucq.plan;
-  stats_.plan_cache = plan_cache_.stats();
-  FinishQuery(timer.Seconds(), result.status(), qc);
+  }();
+  if (out != nullptr) *out = run.stats;
+  std::lock_guard<std::mutex> lock(mutex_);
+  last_stats_ = std::move(run.stats);
+  if (run.tracer != nullptr) last_tracer_ = std::move(run.tracer);
   return result;
 }
 
+Result<Relation> Engine::Run(const ConjunctiveQuery& q) const {
+  return RunCq(q, nullptr, nullptr);
+}
+
+Result<Relation> Engine::Run(const PositiveQuery& q) const {
+  return RunPositive(q, nullptr, nullptr);
+}
+
 Result<Relation> Engine::Run(const FirstOrderQuery& q) const {
-  stats_ = EngineStats{};
+  return RunFirstOrder(q, nullptr, nullptr);
+}
+
+Result<Relation> Engine::Run(const DatalogProgram& p) const {
+  return RunDatalog(p, nullptr, nullptr);
+}
+
+Result<Relation> Engine::RunCq(const ConjunctiveQuery& q, PlanCapture* analyze,
+                               EngineStats* out) const {
+  auto route = [&](const EvalContext& ctx,
+                   EngineStats* stats) -> Result<Relation> {
+    PQ_RETURN_NOT_OK(q.Validate());
+    const ConjunctiveQuery* effective = &q;
+    ComparisonClosure closure;
+    if (q.HasComparisons() && !q.HasOnlyInequalities()) {
+      PQ_ASSIGN_OR_RETURN(closure, CollapseComparisons(q));
+      if (!closure.consistent) return EmptyAnswer(q);
+      effective = &closure.rewritten;
+      // The collapse is count-preserving (merging equal variables bijects
+      // the satisfying assignments), but it can merge or constant-fold a
+      // GROUP key, leaving an invalid counting head; count over the original
+      // query then — the enumeration route applies the comparisons directly.
+      if (q.answer.counting() && !effective->Validate().ok()) effective = &q;
+    }
+    if (q.answer.counting()) {
+      m_.counting_queries->Increment();
+      auto result = CountingEvaluate(*db_, *effective, ctx, &stats->plan);
+      if (result.ok() && q.answer.kind == AnswerSpec::Kind::kGroupedCount) {
+        m_.count_groups->Observe(result.value().size());
+      }
+      return result;
+    }
+    if (effective->body.empty()) {
+      // No relational atoms: the head must be constant-only (safety).
+      Relation out(effective->head.size());
+      ValueVec row;
+      for (const Term& t : effective->head) row.push_back(t.value());
+      out.Add(row);
+      return out;
+    }
+    if (effective->IsAcyclic()) {
+      if (!effective->HasComparisons()) {
+        return AcyclicEvaluate(*db_, *effective, ctx, &stats->plan);
+      }
+      if (effective->HasOnlyInequalities()) {
+        // Theorem 2 route: plan-routed too — it inherits the limits, the
+        // parallel runtime, and the plan cache (one residual plan per
+        // query, re-executed per coloring).
+        return IneqEvaluate(*db_, *effective, ctx, IneqOptions{}, &stats->ineq,
+                            &stats->plan);
+      }
+    }
+    return NaiveEvaluateCq(*db_, *effective, ctx, &stats->plan);
+  };
+  return Execute("cq", analyze, out, route);
+}
+
+Result<Relation> Engine::RunPositive(const PositiveQuery& q,
+                                     PlanCapture* analyze,
+                                     EngineStats* out) const {
+  auto route = [&](const EvalContext& ctx, EngineStats* stats) {
+    const bool counting = q.fo().answer.counting();
+    if (counting) m_.counting_queries->Increment();
+    auto result = counting ? EvaluatePositiveCount(*db_, q, ctx, &stats->ucq)
+                           : EvaluatePositive(*db_, q, ctx, &stats->ucq);
+    if (counting && result.ok() &&
+        q.fo().answer.kind == AnswerSpec::Kind::kGroupedCount) {
+      m_.count_groups->Observe(result.value().size());
+    }
+    stats->plan = stats->ucq.plan;
+    return result;
+  };
+  return Execute("ucq", analyze, out, route);
+}
+
+Result<Relation> Engine::RunFirstOrder(const FirstOrderQuery& q,
+                                       PlanCapture* analyze,
+                                       EngineStats* out) const {
   if (q.IsPositive()) {
     auto positive = PositiveQuery::FromFirstOrder(q);
-    if (positive.ok()) return Run(positive.value());
+    if (positive.ok()) return RunPositive(positive.value(), analyze, out);
   }
   // The non-positive path runs on the active-domain algebra. It is hardened
   // like the plan-routed engines: the armed QueryContext carries deadlines,
   // cancellation, and the memory budget (polled inside FoEval), and every
   // RowBlock allocated during evaluation is charged to the accountant.
-  TraceSpan query_span(PrepareTracer(), "query", "fo");
-  Timer timer;
-  QueryContext* qc = ArmQueryContext();
-  ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  FoOptions fo = options_.fo;
-  if (options_.limits.max_rows != 0) fo.max_rows = options_.limits.max_rows;
-  fo.runtime = Runtime();
-  fo.runtime.query_ctx = qc;
-  auto finish = [&](Result<Relation> r) {
-    stats_.plan_cache = plan_cache_.stats();
-    FinishQuery(timer.Seconds(), r.status(), qc);
-    return r;
-  };
-  if (q.answer.counting()) {
+  auto route = [&](const EvalContext& ctx,
+                   EngineStats*) -> Result<Relation> {
+    if (!q.answer.counting()) return EvaluateFirstOrder(*db_, q, ctx);
     // Active-domain counting: evaluate the formula once over the FULL
     // free-variable head (the distinct satisfying assignments), then group
     // by the head's group keys in memory — the algebra itself needs no
     // counting operators.
-    if (Status s = q.Validate(); !s.ok()) return finish(std::move(s));
+    PQ_RETURN_NOT_OK(q.Validate());
     m_.counting_queries->Increment();
     const std::vector<VarId> free_vars = q.FreeVariables();
     FirstOrderQuery enum_q = q;
     enum_q.answer = AnswerSpec::Tuples();
     enum_q.head.clear();
     for (VarId v : free_vars) enum_q.head.push_back(Term::Var(v));
-    auto rows = EvaluateFirstOrder(*db_, enum_q, fo);
-    if (!rows.ok()) return finish(rows.status());
+    PQ_ASSIGN_OR_RETURN(Relation rows, EvaluateFirstOrder(*db_, enum_q, ctx));
     std::vector<int> gcols;
     for (const Term& t : q.head) {
       auto it = std::find(free_vars.begin(), free_vars.end(), t.var());
       gcols.push_back(static_cast<int>(it - free_vars.begin()));
     }
-    Relation counts = GroupCountRows(rows.value(), gcols);
+    Relation counts = GroupCountRows(rows, gcols);
     if (q.answer.kind == AnswerSpec::Kind::kGroupedCount) {
       m_.count_groups->Observe(counts.size());
     }
-    return finish(std::move(counts));
-  }
-  return finish(EvaluateFirstOrder(*db_, q, fo));
+    return counts;
+  };
+  return Execute("fo", analyze, out, route);
 }
 
-Result<Relation> Engine::Run(const DatalogProgram& p) const {
-  stats_ = EngineStats{};
-  TraceSpan query_span(PrepareTracer(), "query", "datalog");
-  Timer timer;
-  QueryContext* qc = ArmQueryContext();
-  ScopedMemoryAccounting accounting(qc != nullptr ? qc->memory() : nullptr);
-  DatalogOptions eff = options_.datalog;
-  eff.limits = Overlay(options_.limits, eff.EffectiveLimits());
-  eff.max_rows = 0;
-  eff.runtime = Runtime();
-  eff.runtime.query_ctx = qc;
-  eff.plan_cache = options_.use_plan_cache ? &plan_cache_ : nullptr;
-  eff.vectorize = options_.vectorize;
-  auto result = EvaluateDatalog(*db_, p, eff, &stats_.datalog);
-  stats_.plan = stats_.datalog.plan;
-  stats_.plan_cache = plan_cache_.stats();
-  FinishQuery(timer.Seconds(), result.status(), qc);
-  return result;
+Result<Relation> Engine::RunDatalog(const DatalogProgram& p,
+                                    PlanCapture* analyze,
+                                    EngineStats* out) const {
+  auto route = [&](const EvalContext& ctx, EngineStats* stats) {
+    auto result =
+        EvaluateDatalog(*db_, p, ctx, DatalogOptions{}, &stats->datalog);
+    stats->plan = stats->datalog.plan;
+    return result;
+  };
+  return Execute("datalog", analyze, out, route);
 }
 
-Result<Relation> Engine::RunText(const std::string& text, Dictionary* dict) {
+Result<Relation> Engine::RunText(const std::string& text,
+                                 Dictionary* dict) const {
+  return RunTextWith(text, dict, nullptr, nullptr);
+}
+
+Result<Relation> Engine::RunTextWith(const std::string& text, Dictionary* dict,
+                                     PlanCapture* analyze,
+                                     EngineStats* out) const {
   switch (SniffKind(text)) {
     case TextKind::kFormula: {
       PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, dict));
-      return Run(q);
+      return RunFirstOrder(q, analyze, out);
     }
     case TextKind::kDatalogProgram: {
       PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, dict));
-      return Run(p);
+      return RunDatalog(p, analyze, out);
     }
     case TextKind::kRule: {
       PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, dict));
-      return Run(q);
+      return RunCq(q, analyze, out);
     }
   }
   return Status::Internal("unreachable");
 }
 
-Tracer* Engine::PrepareTracer() const {
-  if (!options_.trace) return nullptr;
-  if (tracer_ == nullptr) tracer_ = std::make_unique<Tracer>();
-  tracer_->Clear();
-  return tracer_.get();
+EngineStats Engine::last_stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return last_stats_;
+}
+
+std::shared_ptr<Tracer> Engine::tracer() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return last_tracer_;
 }
 
 void Engine::FinishQuery(double seconds, const Status& status,
-                         const QueryContext* qc) const {
-  stats_.wall_seconds = seconds;
+                         QueryRun* run) const {
+  EngineStats& stats = run->stats;
+  stats.wall_seconds = seconds;
   m_.queries->Increment();
   m_.latency_us->Observe(static_cast<uint64_t>(seconds * 1e6));
   switch (status.code()) {
     case StatusCode::kCancelled:
-      stats_.abort_reason = "cancelled";
+      stats.abort_reason = "cancelled";
       m_.aborts_cancelled->Increment();
       break;
     case StatusCode::kDeadlineExceeded:
-      stats_.abort_reason = "deadline_exceeded";
+      stats.abort_reason = "deadline_exceeded";
       m_.aborts_deadline->Increment();
       break;
     case StatusCode::kResourceExhausted:
-      stats_.abort_reason = "resource_exhausted";
+      stats.abort_reason = "resource_exhausted";
       m_.aborts_resource->Increment();
       break;
     default:
       break;
   }
   // memory() is null unless a byte budget was armed.
-  if (qc != nullptr && qc->memory() != nullptr) {
-    m_.peak_bytes->Observe(qc->memory()->peak());
+  if (run->qc != nullptr && run->qc->memory() != nullptr) {
+    m_.peak_bytes->Observe(run->qc->memory()->peak());
   }
-  m_.rows_produced->Add(stats_.plan.rows_produced);
-  m_.morsels->Add(stats_.plan.morsels);
-  m_.vec_batches->Add(stats_.plan.vec_batches);
+  m_.rows_produced->Add(stats.plan.rows_produced);
+  m_.morsels->Add(stats.plan.morsels);
+  m_.vec_batches->Add(stats.plan.vec_batches);
   // Scrapes of external monotonic sources (Counter::Set, not Add): the
   // plan cache, the scheduler, and the process-wide storage caches all
   // keep their own cumulative counters.
-  const PlanCacheStats pc = plan_cache_.stats();
+  const PlanCacheStats& pc = stats.plan_cache;
   m_.plan_cache_hits->Set(pc.hits);
   m_.plan_cache_misses->Set(pc.misses);
   m_.plan_cache_stale->Set(pc.stale_entries);
   m_.plan_cache_evictions->Set(pc.evictions);
   m_.plan_cache_entries->Set(static_cast<int64_t>(pc.entries));
-  if (scheduler_ != nullptr) {
-    const TaskScheduler::Counters& c = scheduler_->counters();
+  if (const TaskScheduler* sched = run->scheduler.get(); sched != nullptr) {
+    const TaskScheduler::Counters& c = sched->counters();
     m_.sched_tasks->Set(c.tasks_run.load(std::memory_order_relaxed));
     m_.sched_steals->Set(c.steals.load(std::memory_order_relaxed));
     m_.sched_idle_sleeps->Set(c.idle_sleeps.load(std::memory_order_relaxed));
-    m_.sched_queue_depth->Set(
-        static_cast<int64_t>(scheduler_->QueuedTokens()));
+    m_.sched_queue_depth->Set(static_cast<int64_t>(sched->QueuedTokens()));
   }
   const StorageCacheStats& sc = GlobalStorageCacheStats();
   m_.trie_hits->Set(sc.trie_hits.load(std::memory_order_relaxed));
@@ -452,24 +467,7 @@ void Engine::FinishQuery(double seconds, const Status& status,
   m_.columnar_builds->Set(sc.columnar_builds.load(std::memory_order_relaxed));
 }
 
-QueryContext* Engine::ArmQueryContext() const {
-  const uint64_t wall = options_.limits.max_wall_ms;
-  const uint64_t bytes = options_.limits.max_bytes;
-  if (options_.query_ctx != nullptr) {
-    QueryContext* qc = options_.query_ctx;
-    if (wall != 0) qc->ArmDeadline(wall);
-    if (bytes != 0) qc->ArmMemory(bytes);
-    return qc;  // caller controls cancellation; sticky until caller Reset()s
-  }
-  if (wall == 0 && bytes == 0) return nullptr;
-  if (run_ctx_ == nullptr) run_ctx_ = std::make_unique<QueryContext>();
-  run_ctx_->Reset();
-  if (wall != 0) run_ctx_->ArmDeadline(wall);
-  if (bytes != 0) run_ctx_->ArmMemory(bytes);
-  return run_ctx_.get();
-}
-
-Result<std::string> Engine::ExplainText(const std::string& text) {
+Result<std::string> Engine::ExplainText(const std::string& text) const {
   switch (SniffKind(text)) {
     case TextKind::kFormula: {
       PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, nullptr));
@@ -488,15 +486,14 @@ Result<std::string> Engine::ExplainText(const std::string& text) {
 }
 
 Result<std::string> Engine::AnalyzeText(const std::string& text,
-                                        Dictionary* dict) {
+                                        Dictionary* dict) const {
   PlanCapture capture;
-  analyze_ = &capture;
-  auto result = RunText(text, dict);
-  analyze_ = nullptr;
+  EngineStats stats;
+  auto result = RunTextWith(text, dict, &capture, &stats);
   if (!result.ok()) return result.status();
   std::ostringstream oss;
   char wall[64];
-  std::snprintf(wall, sizeof(wall), "%.3f", stats_.wall_seconds * 1e3);
+  std::snprintf(wall, sizeof(wall), "%.3f", stats.wall_seconds * 1e3);
   oss << "rows=" << result.value().size() << " wall_ms=" << wall << "\n";
   if (capture.plan_count() == 0) {
     oss << "(no plan-routed execution: the query ran on the active-domain "
@@ -508,7 +505,7 @@ Result<std::string> Engine::AnalyzeText(const std::string& text,
 }
 
 Result<std::string> Engine::PlanText(const std::string& text,
-                                     Dictionary* dict) {
+                                     Dictionary* dict) const {
   switch (SniffKind(text)) {
     case TextKind::kFormula: {
       PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, dict));

@@ -1,23 +1,32 @@
 // The ParaQuery engine facade: parse -> classify -> plan -> execute.
 //
 // Routing policy (the operational content of the paper):
+//   * COUNT / grouped-count heads               -> counting evaluator
+//     (counting Yannakakis for acyclic bodies, the decomposition bag tree
+//     for cyclic ones, enumerate-then-aggregate otherwise)
 //   * conjunctive, acyclic, comparison-free      -> Yannakakis plan
 //   * conjunctive, acyclic, only ≠ atoms         -> Theorem 2 color coding
 //   * conjunctive with order comparisons         -> Klug closure, then the
 //     best applicable engine on the rewritten query (naive if < / ≤ remain:
 //     Theorem 3 says nothing better exists in general)
-//   * cyclic conjunctive                         -> greedy left-deep plan
+//   * cyclic conjunctive                         -> generalized hypertree
+//     decomposition with leapfrog multiway joins in cyclic bags when
+//     comparison-free (EngineOptions::wcoj), else a greedy left-deep plan
 //   * positive                                   -> union-of-CQs expansion
 //   * first-order                                -> active-domain algebra
 //   * Datalog                                    -> semi-naive fixpoint over
 //                                                   cached per-rule plans
 //
-// Every plan-routed query runs through the shared executor in src/plan/;
-// EngineStats::plan carries its counters for the most recent call.
+// Every plan-routed query runs through the shared executor in src/plan/.
+// Each Run builds one EvalContext (eval/eval_context.hpp) from the options
+// and hands it to the chosen route; everything else a query owns — its
+// stats, abort context and tracer — lives in a per-query record on the
+// calling thread's stack, so Run is safe on a shared const Engine.
 #ifndef PARAQUERY_CORE_ENGINE_H_
 #define PARAQUERY_CORE_ENGINE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/query_context.hpp"
@@ -25,11 +34,8 @@
 #include "obs/analyze.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "eval/acyclic.hpp"
 #include "eval/datalog_eval.hpp"
-#include "eval/fo.hpp"
 #include "eval/inequality.hpp"
-#include "eval/naive.hpp"
 #include "eval/ucq.hpp"
 #include "plan/plan.hpp"
 #include "plan/plan_cache.hpp"
@@ -38,16 +44,13 @@
 
 namespace paraquery {
 
-/// Engine-wide options (forwarded to the individual evaluators).
+/// Engine-wide options, copied into each query's EvalContext.
 struct EngineOptions {
-  /// Unified resource guard, forwarded to every evaluator. Nonzero members
-  /// override the per-evaluator legacy aliases (AcyclicOptions::max_rows,
-  /// NaiveOptions::max_steps, UcqOptions::naive_max_steps,
-  /// DatalogOptions::max_rows, IneqOptions::max_rows). The color-coding
-  /// engine is plan-routed since the Theorem 2 lowering, so both members
-  /// apply to it (max_steps per coloring execution); the active-domain
-  /// algebra (FoOptions) honors max_rows plus the deadline/memory members
-  /// through its polled QueryContext (max_steps does not apply there).
+  /// Unified resource guard for every route. The color-coding engine is
+  /// plan-routed, so both row members apply to it (max_steps per coloring
+  /// execution); the active-domain algebra honors max_rows (replacing its
+  /// FoOptions cap) plus the deadline/memory members through its polled
+  /// QueryContext (max_steps does not apply there).
   ResourceLimits limits;
   /// Execution width of the parallel runtime: 1 (default) runs every plan
   /// sequentially — exactly the historical engine; 0 means hardware
@@ -71,19 +74,24 @@ struct EngineOptions {
   /// the next Run; shrinking evicts immediately.
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
   /// Caller-owned cancellation/abort token. When set, every Run arms THIS
-  /// context (deadline/memory from `limits`) instead of an engine-internal
-  /// one, so another thread may Cancel() it mid-query. The caller controls
-  /// its lifecycle: cancellation is sticky until QueryContext::Reset().
+  /// context (deadline/memory from `limits`) instead of a per-query one, so
+  /// another thread may Cancel() it mid-query. The caller controls its
+  /// lifecycle: cancellation is sticky until QueryContext::Reset(). Shared
+  /// by design: concurrent Runs on one engine all poll this one context,
+  /// so one Cancel() stops them all. Each Run re-arms it without
+  /// synchronization, so concurrent Runs may share it only while `limits`
+  /// arm neither a deadline nor a byte budget.
   QueryContext* query_ctx = nullptr;
-  /// Master switch for vectorized columnar execution: forwarded onto the
-  /// naive/UCQ/Datalog evaluators, whose planners place Materialize
-  /// boundaries over eligible Select/Project/HashJoin chains. Results are
-  /// byte-identical on or off; off forces row-at-a-time execution.
+  /// Master switch for vectorized columnar execution on every plan-routed
+  /// route (planners place Materialize boundaries over eligible
+  /// Select/Project/HashJoin chains). Results are byte-identical on or off;
+  /// off forces row-at-a-time execution.
   bool vectorize = true;
   /// Master switch for worst-case-optimal multiway joins: comparison-free
-  /// cyclic CQs route through a generalized hypertree decomposition with
-  /// leapfrog-triejoin bags (PlannerOptions::wcoj). Results are
-  /// byte-identical on or off; off keeps the binary left-deep chains.
+  /// cyclic CQs — tuple, counting and UCQ disjuncts alike — route through a
+  /// generalized hypertree decomposition with leapfrog-triejoin bags
+  /// (PlannerOptions::wcoj). Results are byte-identical on or off; off
+  /// keeps the binary left-deep chains.
   bool wcoj = true;
   /// Minimum source rows for a Materialize boundary to engage the vectorized
   /// columnar pipeline; below it the chain runs row-at-a-time (batch setup
@@ -92,41 +100,32 @@ struct EngineOptions {
   size_t vec_min_source_rows = 256;
   /// Query tracing: when on, every Run records hierarchical spans (query →
   /// route → fixpoint round / disjunct / coloring → plan operator → morsel)
-  /// into the engine-owned Tracer, cleared at the start of each Run and
-  /// exportable afterwards through Engine::tracer() (Chrome trace-event
-  /// JSON or text profile). Results are byte-identical on or off; off costs
-  /// one null-pointer test per instrumentation site.
+  /// into a Tracer of its own, published when the query finishes and
+  /// exportable through Engine::tracer() (Chrome trace-event JSON or text
+  /// profile). Results are byte-identical on or off; off costs one
+  /// null-pointer test per instrumentation site.
   bool trace = false;
-  AcyclicOptions acyclic;
-  IneqOptions inequality;
-  NaiveOptions naive;
-  FoOptions fo;
-  UcqOptions ucq;
-  DatalogOptions datalog;
 };
 
-/// Instrumentation from the most recent Run/RunText call, per evaluator.
-/// Every Run overload zeroes the whole struct up front, then only the
-/// evaluator that actually ran populates its members — so counters never
-/// carry over from an earlier query.
+/// Instrumentation of one Run/RunText call, per evaluator. Each query fills
+/// a fresh struct in which only the evaluator that actually ran populates
+/// its members — so counters never carry over from an earlier query.
 struct EngineStats {
-  /// End-to-end wall clock of the last Run, measured at the engine: covers
+  /// End-to-end wall clock of the query, measured at the engine: covers
   /// planning, routing, and execution on EVERY route — including the
   /// active-domain algebra and plan-cache-hit paths, which PlanStats'
   /// per-plan-execution wall_seconds does not see.
   double wall_seconds = 0;
-  /// Why the last Run aborted ("cancelled", "deadline_exceeded",
+  /// Why the query aborted ("cancelled", "deadline_exceeded",
   /// "resource_exhausted"), empty on success and on other errors. The
   /// cumulative per-reason counts live in Engine::metrics()
   /// (pq_aborts_*_total).
   std::string abort_reason;
-  /// Shared plan-executor counters for whatever plan(s) the last call ran
-  /// (the unified home of the former per-evaluator operator counters).
+  /// Shared plan-executor counters for whatever plan(s) the query ran.
   PlanStats plan;
   DatalogStats datalog;
-  AcyclicStats acyclic;
   UcqStats ucq;
-  /// Theorem 2 color-coding instrumentation (set when the last call routed
+  /// Theorem 2 color-coding instrumentation (set when the query routed
   /// through the inequality engine).
   IneqStats ineq;
   /// Program-wide plan cache counters. Unlike the sections above these are
@@ -138,6 +137,12 @@ struct EngineStats {
 };
 
 /// Facade bound to one database instance (not owned).
+///
+/// Concurrent use: the Run overloads (and RunText/AnalyzeText) may be called
+/// from many threads on one Engine, as long as nothing mutates options() or
+/// the database meanwhile. Each query owns its stats, abort context and
+/// tracer; the engine shares only the plan cache, the metrics registry and
+/// the scheduler, each synchronized.
 class Engine {
  public:
   explicit Engine(const Database& db, EngineOptions options = {});
@@ -160,15 +165,15 @@ class Engine {
   /// query require `dict` (usually the database's own dictionary) so they
   /// can be interned to value codes; without it they are a parse error.
   Result<Relation> RunText(const std::string& text,
-                           Dictionary* dict = nullptr);
+                           Dictionary* dict = nullptr) const;
 
   /// Classification + physical plan for a query, as a human-readable report.
-  Result<std::string> ExplainText(const std::string& text);
+  Result<std::string> ExplainText(const std::string& text) const;
 
   /// Renders the physical plan for `text` without executing it (the shell's
   /// `.plan` command). Cardinalities are planner estimates only.
   Result<std::string> PlanText(const std::string& text,
-                               Dictionary* dict = nullptr);
+                               Dictionary* dict = nullptr) const;
 
   /// EXPLAIN ANALYZE: executes `text` and returns the executed plan(s)
   /// annotated with per-node actual rows and wall time (self and
@@ -177,14 +182,15 @@ class Engine {
   /// count; non-positive first-order queries execute but have no plan to
   /// render (the active-domain algebra is not plan-routed).
   Result<std::string> AnalyzeText(const std::string& text,
-                                  Dictionary* dict = nullptr);
+                                  Dictionary* dict = nullptr) const;
 
   const Database& db() const { return *db_; }
   EngineOptions& options() { return options_; }
 
-  /// Evaluator instrumentation from the most recent Run/RunText call (e.g.
-  /// the shared plan-executor counters, the Datalog EDB-cache hit counters).
-  const EngineStats& last_stats() const { return stats_; }
+  /// Evaluator instrumentation of the last query to FINISH (e.g. the shared
+  /// plan-executor counters, the Datalog EDB-cache hit counters). A copy:
+  /// with concurrent Runs, "last" is the most recently published query.
+  EngineStats last_stats() const;
 
   /// The engine-owned cross-query plan cache: compiled CQ/UCQ-disjunct
   /// plans, Theorem 2 residual compilations, and Datalog rule-variant plans
@@ -203,34 +209,51 @@ class Engine {
   /// end of every Run.
   MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The spans of the most recent traced Run (EngineOptions::trace); null
-  /// until the first traced query. Export with Tracer::ChromeTraceJson()
-  /// or Tracer::TextProfile(); stable until the next traced Run.
-  Tracer* tracer() const { return tracer_.get(); }
+  /// The spans of the last traced query to finish (EngineOptions::trace);
+  /// null until the first traced query. Export with
+  /// Tracer::ChromeTraceJson() or Tracer::TextProfile(); the returned
+  /// tracer stays valid and unchanged however many queries run after it.
+  std::shared_ptr<Tracer> tracer() const;
 
  private:
-  /// The parallel-runtime binding options().threads selects: a null
-  /// scheduler for threads == 1, otherwise a lazily created (and reused)
-  /// TaskScheduler of the resolved width. Rebuilt when the option changes.
-  RuntimeOptions Runtime() const;
+  struct QueryRun;
 
-  /// The QueryContext for one Run: the caller's (options().query_ctx) if
-  /// set, else a lazily created engine-owned context when `limits` arms a
-  /// deadline or memory budget, else null (unhardened). Engine-owned
-  /// contexts are Reset() and re-armed per Run.
-  QueryContext* ArmQueryContext() const;
+  /// Runs one query under a fresh per-query record: arms its abort context
+  /// and tracer, builds its EvalContext, calls `route`, then publishes the
+  /// record's stats (copied to `*out` when given) and tracer. `kind` is the
+  /// query span's detail.
+  template <typename Route>
+  Result<Relation> Execute(const char* kind, PlanCapture* analyze,
+                           EngineStats* out, Route&& route) const;
 
-  /// When tracing is on: ensures the tracer exists, Clear()s it for the new
-  /// query, and returns it (the calling thread becomes track 0). Returns
-  /// null when tracing is off. Called once at the top of each Run overload.
-  Tracer* PrepareTracer() const;
+  Result<Relation> RunCq(const ConjunctiveQuery& q, PlanCapture* analyze,
+                         EngineStats* out) const;
+  Result<Relation> RunPositive(const PositiveQuery& q, PlanCapture* analyze,
+                               EngineStats* out) const;
+  Result<Relation> RunFirstOrder(const FirstOrderQuery& q,
+                                 PlanCapture* analyze,
+                                 EngineStats* out) const;
+  Result<Relation> RunDatalog(const DatalogProgram& p, PlanCapture* analyze,
+                              EngineStats* out) const;
+  Result<Relation> RunTextWith(const std::string& text, Dictionary* dict,
+                               PlanCapture* analyze, EngineStats* out) const;
 
-  /// End-of-Run bookkeeping shared by every route: records the engine-level
-  /// wall clock and abort reason into stats_, and updates/scrapes the
+  /// The scheduler of width options().threads (null for width 1), created
+  /// on first use and replaced when the width changes; a query holds its
+  /// reference for its whole run, so a replacement never pulls the pool
+  /// from under it.
+  std::shared_ptr<TaskScheduler> AcquireScheduler() const;
+
+  /// The QueryContext for one query: the caller's (options().query_ctx) if
+  /// set, else a fresh one owned by `run` when `limits` arms a deadline or
+  /// memory budget, else null (unhardened).
+  QueryContext* ArmQueryContext(QueryRun* run) const;
+
+  /// End-of-query bookkeeping shared by every route: records the wall clock
+  /// and abort reason into the record's stats, and updates/scrapes the
   /// metrics registry (latency and peak-bytes histograms, per-reason abort
   /// counters, plan-cache / scheduler / storage-cache gauges).
-  void FinishQuery(double seconds, const Status& status,
-                   const QueryContext* qc) const;
+  void FinishQuery(double seconds, const Status& status, QueryRun* run) const;
 
   /// Pre-resolved registry handles (see QueryMetrics: hot paths must not
   /// pay name lookups).
@@ -263,17 +286,15 @@ class Engine {
 
   const Database* db_;
   EngineOptions options_;
-  mutable std::unique_ptr<TaskScheduler> scheduler_;
-  mutable std::unique_ptr<QueryContext> run_ctx_;
   mutable PlanCache plan_cache_;
-  mutable EngineStats stats_;
   mutable MetricsRegistry metrics_;
-  mutable std::unique_ptr<Tracer> tracer_;
   MetricHandles m_;
   QueryMetrics query_metrics_;
-  /// Armed by AnalyzeText for the duration of one RunText; bound into
-  /// RuntimeOptions::analyze by Runtime().
-  mutable PlanCapture* analyze_ = nullptr;
+  /// Guards the three members below.
+  mutable std::mutex mutex_;
+  mutable std::shared_ptr<TaskScheduler> scheduler_;
+  mutable EngineStats last_stats_;
+  mutable std::shared_ptr<Tracer> last_tracer_;
 };
 
 }  // namespace paraquery

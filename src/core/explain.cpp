@@ -136,7 +136,7 @@ Result<std::string> RenderPositivePlan(const Database& db,
   constexpr size_t kExplainRenderCap = 64;
   UcqStats stats;
   PQ_ASSIGN_OR_RETURN(
-      auto cqs, ExpandDedupedDisjuncts(q, UcqOptions{}.max_disjuncts, &stats));
+      auto cqs, ExpandDedupedDisjuncts(q, &stats));
   std::ostringstream oss;
   oss << "Union [" << cqs.size() << " disjunct" << (cqs.size() == 1 ? "" : "s");
   if (stats.disjuncts_deduped > 0) {

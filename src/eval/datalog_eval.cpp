@@ -132,7 +132,7 @@ struct FiringResult {
 
 // One semi-naive fixpoint run: IDB state, the EDB atom cache, and the cached
 // per-(rule, delta position) body plans the shared executor re-runs every
-// iteration. With a scheduler bound (DatalogOptions::runtime), each round's
+// iteration. With a scheduler bound (EvalContext::runtime), each round's
 // variants fire as concurrent tasks: firings read the round-stable IDB/delta
 // state and return materialized FiringResults, which the round barrier
 // applies in variant order — so the derived tuple sets (and the fixpoint)
@@ -140,11 +140,13 @@ struct FiringResult {
 class DatalogRun {
  public:
   DatalogRun(const Database& db, const DatalogProgram& program,
-             const DatalogOptions& options, DatalogStats* stats)
-      : db_(db), program_(program), options_(options), stats_(stats) {}
+             const EvalContext& ctx, const DatalogOptions& options,
+             DatalogStats* stats)
+      : db_(db), program_(program), ctx_(ctx), options_(options),
+        stats_(stats) {}
 
   Result<Relation> Run() {
-    TraceSpan route_span(options_.runtime.tracer, "route.datalog");
+    TraceSpan route_span(ctx_.runtime.tracer, "route.datalog");
     PQ_RETURN_NOT_OK(program_.Validate());
     for (const std::string& name : program_.IdbRelations()) {
       size_t arity = static_cast<size_t>(program_.ArityOf(name));
@@ -156,7 +158,7 @@ class DatalogRun {
     for (size_t ri = 0; ri < program_.rules.size(); ++ri) {
       edb_views_[ri].resize(program_.rules[ri].body.size());
     }
-    const uint64_t max_total_rows = options_.EffectiveLimits().max_rows;
+    const uint64_t max_total_rows = ctx_.limits.max_rows;
 
     // Iteration 0: fire every rule on the (empty) IDB state so EDB-only
     // rules seed the deltas.
@@ -178,7 +180,7 @@ class DatalogRun {
     while (changed) {
       // Round-boundary poll: a deadline/cancel/budget abort ends the
       // fixpoint within one semi-naive round.
-      PQ_RETURN_NOT_OK(options_.runtime.CheckInterrupt());
+      PQ_RETURN_NOT_OK(ctx_.runtime.CheckInterrupt());
       if (options_.max_iterations != 0 &&
           iterations >= options_.max_iterations) {
         return Status::ResourceExhausted("Datalog iteration limit exceeded");
@@ -334,8 +336,8 @@ class DatalogRun {
     PQ_FAULT_POINT("datalog.firing");
     const DatalogRule& rule = program_.rules[ri];
     TraceSpan firing_span(
-        options_.runtime.tracer, "firing",
-        options_.runtime.tracer != nullptr
+        ctx_.runtime.tracer, "firing",
+        ctx_.runtime.tracer != nullptr
             ? internal::StrCat(rule.head.relation, " delta=", delta_pos)
             : std::string());
     FiringResult out;
@@ -398,13 +400,13 @@ class DatalogRun {
       std::string cache_key;
       CanonicalCq canonical;
       bool from_cache = false;
-      if (options_.plan_cache != nullptr) {
+      if (ctx_.plan_cache != nullptr) {
         canonical = CanonicalizeRule(rule);
         cache_key =
             internal::StrCat("rule:", canonical.signature, "|d", delta_pos,
-                             options_.vectorize ? "|vec" : "");
+                             ctx_.vectorize ? "|vec" : "");
         if (first_build) {
-          auto cached = options_.plan_cache->Lookup<CachedRulePlan>(
+          auto cached = ctx_.plan_cache->Lookup<CachedRulePlan>(
               cache_key, db_);
           if (cached != nullptr) {
             // Reject the hit if ANY input slot — not just the delta — has
@@ -442,9 +444,9 @@ class DatalogRun {
         PQ_ASSIGN_OR_RETURN(
             variant.plan,
             PlanRuleBody(rule, attrs, sizes, caches, delta_pos, distinct,
-                         options_.vectorize));
+                         ctx_.vectorize));
         variant.planned_delta_rows = observed;
-        if (options_.plan_cache != nullptr) {
+        if (ctx_.plan_cache != nullptr) {
           // Publish the canonical form: rule var -> canonical id is the
           // inverse of the canonical order.
           std::vector<AttrId> inverse(rule.vars.size(), -1);
@@ -463,7 +465,7 @@ class DatalogRun {
           // Dependency stamps come from the rule's EDB body atoms (IDB
           // names do not resolve and carry no stamp — their content is
           // run-local, not the database's).
-          options_.plan_cache->Insert(cache_key, db_, canonical.query,
+          ctx_.plan_cache->Insert(cache_key, db_, canonical.query,
                                       std::move(entry));
         }
       }
@@ -481,8 +483,8 @@ class DatalogRun {
     // Both guard members apply inside a firing (per-operator rows and the
     // step meter); max_rows additionally bounds the total derived tuples,
     // checked per iteration in Run().
-    ExecContext ctx{inputs, options_.EffectiveLimits(), plan_stats,
-                    options_.runtime};
+    ExecContext ctx{inputs, ctx_.limits, plan_stats,
+                    ctx_.runtime};
     PQ_ASSIGN_OR_RETURN(NamedRelation bindings, ExecutePlan(*variant.plan, ctx));
     out.fired = true;
     out.derived =
@@ -500,15 +502,15 @@ class DatalogRun {
                    bool* changed) {
     PQ_FAULT_POINT("datalog.round");
     TraceSpan round_span(
-        options_.runtime.tracer, "round",
-        options_.runtime.tracer != nullptr
+        ctx_.runtime.tracer, "round",
+        ctx_.runtime.tracer != nullptr
             ? internal::StrCat("round=", rounds_fired_++,
                                " variants=", variants.size())
             : std::string());
     // Materialize the variant plan slots up front so concurrent firings
     // never mutate a rule's variant map structurally.
     for (const auto& [ri, dpos] : variants) plans_[ri].try_emplace(dpos);
-    if (!options_.runtime.parallel() || variants.size() <= 1) {
+    if (!ctx_.runtime.parallel() || variants.size() <= 1) {
       for (const auto& [ri, dpos] : variants) {
         PQ_ASSIGN_OR_RETURN(
             FiringResult fr,
@@ -524,7 +526,7 @@ class DatalogRun {
     std::vector<std::optional<Result<FiringResult>>> results(variants.size());
     std::vector<PlanStats> local(variants.size());
     {
-      TaskGroup group(options_.runtime.scheduler);
+      TaskGroup group(ctx_.runtime.scheduler);
       for (size_t i = 0; i < variants.size(); ++i) {
         group.Spawn([&, i] {
           auto [ri, dpos] = variants[i];
@@ -555,6 +557,7 @@ class DatalogRun {
 
   const Database& db_;
   const DatalogProgram& program_;
+  const EvalContext& ctx_;
   const DatalogOptions& options_;
   DatalogStats* stats_;
 
@@ -578,9 +581,10 @@ class DatalogRun {
 
 Result<Relation> EvaluateDatalog(const Database& db,
                                  const DatalogProgram& program,
+                                 const EvalContext& ctx,
                                  const DatalogOptions& options,
                                  DatalogStats* stats) {
-  DatalogRun run(db, program, options, stats);
+  DatalogRun run(db, program, ctx, options, stats);
   return run.Run();
 }
 

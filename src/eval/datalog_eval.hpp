@@ -15,50 +15,17 @@
 #include <cstdint>
 
 #include "common/status.hpp"
+#include "eval/eval_context.hpp"
 #include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
 #include "query/datalog.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
-/// Options for the Datalog engine.
+/// Datalog-specific options (the run environment is the EvalContext).
 struct DatalogOptions {
   /// Abort after this many fixpoint iterations (0 = off).
   uint64_t max_iterations = 0;
-  /// Parallel runtime binding. With a scheduler, the independent (rule,
-  /// delta position) firings of one semi-naive round run as concurrent
-  /// tasks — newly derived tuples are applied to the IDB state in variant
-  /// order after the round's barrier — and each firing's plan may execute
-  /// morsel-parallel. The fixpoint (and the goal relation) is identical to
-  /// the single-threaded run; iteration/firing counts may differ, because
-  /// the sequential engine lets a firing observe tuples derived earlier in
-  /// the same round while the parallel round is a pure Jacobi step.
-  RuntimeOptions runtime;
-  /// Unified resource guard: limits.max_rows bounds the total derived IDB
-  /// tuples, and both members are forwarded to every rule-plan execution.
-  ResourceLimits limits;
-  /// Cross-query plan cache (optional, engine-owned): a variant's first
-  /// firing fetches the rule-body plan compiled by a previous program run
-  /// (keyed by the rule's canonical signature + delta position + database
-  /// generation) instead of re-running PlanRuleBody. Hits are CLONED into
-  /// the run — concurrent firings never share mutable plan nodes — with
-  /// their Scan join-index pointers rebound to this run's EDB caches; the
-  /// >10x delta-drift re-planning still applies on top and refreshes the
-  /// cached entry.
-  PlanCache* plan_cache = nullptr;
-  /// Let PlanRuleBody place Materialize boundaries so eligible rule bodies
-  /// run vectorized over columnar storage (byte-identical fixpoint either
-  /// way). The rule-plan cache key carries the flag, so cached plans never
-  /// leak across toggle states.
-  bool vectorize = true;
-  /// DEPRECATED alias for limits.max_rows. Used when limits.max_rows == 0.
-  uint64_t max_rows = 0;
-
-  ResourceLimits EffectiveLimits() const {
-    return limits.MergedWith(max_rows, /*legacy_max_steps=*/0);
-  }
 };
 
 /// Instrumentation.
@@ -92,8 +59,28 @@ struct DatalogStats {
 };
 
 /// Computes the goal relation of `program` over `db` (semi-naive fixpoint).
+///
+/// ctx.limits.max_rows bounds the total derived IDB tuples, and both row
+/// members apply to every rule-plan execution. With a scheduler bound, the
+/// independent (rule, delta position) firings of one semi-naive round run
+/// as concurrent tasks — newly derived tuples are applied to the IDB state
+/// in variant order after the round's barrier — and each firing's plan may
+/// execute morsel-parallel. The fixpoint (and the goal relation) is
+/// identical to the single-threaded run; iteration/firing counts may
+/// differ, because the sequential engine lets a firing observe tuples
+/// derived earlier in the same round while the parallel round is a pure
+/// Jacobi step.
+///
+/// With ctx.plan_cache, a variant's first firing fetches the rule-body plan
+/// compiled by a previous program run (keyed by the rule's canonical
+/// signature + delta position + vectorize flag + database generation)
+/// instead of re-running PlanRuleBody. Hits are CLONED into the run —
+/// concurrent firings never share mutable plan nodes — with their Scan
+/// join-index pointers rebound to this run's EDB caches; the >10x
+/// delta-drift re-planning still applies on top and refreshes the entry.
 Result<Relation> EvaluateDatalog(const Database& db,
                                  const DatalogProgram& program,
+                                 const EvalContext& ctx = {},
                                  const DatalogOptions& options = {},
                                  DatalogStats* stats = nullptr);
 

@@ -10,33 +10,35 @@
 #include <cstdint>
 
 #include "common/status.hpp"
+#include "eval/eval_context.hpp"
 #include "query/first_order_query.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
 /// Options for the first-order evaluator.
 struct FoOptions {
   /// Cap on any intermediate relation (complements/domain powers can reach
-  /// |adom|^arity rows). Exceeding it fails with ResourceExhausted.
+  /// |adom|^arity rows). Exceeding it fails with ResourceExhausted. A
+  /// nonzero ctx.limits.max_rows replaces it.
   uint64_t max_rows = 10'000'000;
-  /// Hardening binding: runtime.query_ctx (deadline, cancellation, memory
-  /// budget) is polled at every subformula and inside the division group
-  /// scan, so a runaway active-domain evaluation aborts cooperatively. The
-  /// evaluator itself stays sequential — the scheduler is unused here.
-  RuntimeOptions runtime;
 };
 
 /// Computes Q(d) over the active domain of `db`. Fails with InvalidArgument
 /// on an empty active domain (quantifier semantics over the empty structure
-/// are not supported).
+/// are not supported). ctx.runtime.query_ctx (deadline, cancellation,
+/// memory budget) is polled at every subformula and inside the division
+/// group scan, so a runaway evaluation aborts cooperatively. The evaluator
+/// is sequential and plan-free: the scheduler, plan cache, planner switches
+/// and max_steps do not apply.
 Result<Relation> EvaluateFirstOrder(const Database& db,
                                     const FirstOrderQuery& q,
+                                    const EvalContext& ctx = {},
                                     const FoOptions& options = {});
 
 /// Decides whether Q(d) is nonempty.
 Result<bool> FirstOrderNonempty(const Database& db, const FirstOrderQuery& q,
+                                const EvalContext& ctx = {},
                                 const FoOptions& options = {});
 
 }  // namespace paraquery

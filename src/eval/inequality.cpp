@@ -612,9 +612,9 @@ std::string FormulaSignature(const IneqFormula& phi) {
 Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
                                                   const ConjunctiveQuery& q,
                                                   const IneqFormula* phi,
-                                                  const IneqOptions& options) {
+                                                  const EvalContext& ctx) {
   PQ_FAULT_POINT("ineq.compile");
-  if (options.plan_cache == nullptr) return BuildCompiled(db, q, phi);
+  if (ctx.plan_cache == nullptr) return BuildCompiled(db, q, phi);
   CanonicalCq canonical = CanonicalizeCq(q);
   std::string key = internal::StrCat("ineq:", canonical.signature);
   IneqFormula renamed;
@@ -629,12 +629,12 @@ Result<std::shared_ptr<IneqCompiled>> GetCompiled(const Database& db,
     renamed = RemapFormula(*phi, inverse);
     key += "|phi:" + FormulaSignature(renamed);
   }
-  auto cached = options.plan_cache->Lookup<IneqCompiled>(key, db);
+  auto cached = ctx.plan_cache->Lookup<IneqCompiled>(key, db);
   if (cached != nullptr) return cached;
   PQ_ASSIGN_OR_RETURN(
       auto compiled,
       BuildCompiled(db, canonical.query, phi != nullptr ? &renamed : nullptr));
-  options.plan_cache->Insert(key, db, canonical.query, compiled);
+  ctx.plan_cache->Insert(key, db, canonical.query, compiled);
   return compiled;
 }
 
@@ -674,32 +674,33 @@ NamedRelation FilterByFormula(const Plan& p, const NamedRelation& root,
 
 // Plan-routed decision driver.
 Result<bool> PlanDriveNonempty(const Database& db, IneqCompiled& c,
+                               const EvalContext& ctx,
                                const IneqOptions& options, IneqStats* stats,
                                PlanStats* plan_stats) {
   const Plan& p = c.analysis;
   if (p.always_false) return false;
-  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
+  TraceSpan route_span(ctx.runtime.tracer, "route.theorem2");
   PQ_ASSIGN_OR_RETURN(ColoringFamily family, MakeFamily(p, options, stats));
-  const ResourceLimits limits = options.EffectiveLimits();
   PlanStats local;
   size_t executed = 0;
   bool found = false;
   for (size_t m = 0; m < family.size() && !found; ++m) {
     // Per-coloring poll: Theorem 2's k^k loop is the longest-running site
     // in the engine, so deadline aborts must land between colorings.
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+    PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
     PQ_FAULT_POINT("ineq.coloring");
     TraceSpan coloring_span(
-        options.runtime.tracer, "coloring",
-        options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
-                                          : std::string());
+        ctx.runtime.tracer, "coloring",
+        ctx.runtime.tracer != nullptr ? internal::StrCat("m=", m)
+                                      : std::string());
     if (stats != nullptr) stats->trials = m + 1;
     std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
     std::vector<const NamedRelation*> ptrs;
     ptrs.reserve(inputs.size());
     for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-    ExecContext ctx{ptrs, limits, &local, options.runtime};
-    PQ_ASSIGN_OR_RETURN(NamedRelation root, ExecutePlan(*c.decision_root, ctx));
+    ExecContext exec{ptrs, ctx.limits, &local, ctx.runtime};
+    PQ_ASSIGN_OR_RETURN(NamedRelation root,
+                        ExecutePlan(*c.decision_root, exec));
     ++executed;
     if (c.formula_mode && !root.empty()) {
       root = FilterByFormula(p, root, family, m);
@@ -709,8 +710,8 @@ Result<bool> PlanDriveNonempty(const Database& db, IneqCompiled& c,
     }
     found = !root.empty();
   }
-  if (options.plan_cache != nullptr && executed > 1) {
-    options.plan_cache->NoteReuse(executed - 1);
+  if (ctx.plan_cache != nullptr && executed > 1) {
+    ctx.plan_cache->NoteReuse(executed - 1);
   }
   if (stats != nullptr) {
     stats->peak_rows = std::max(stats->peak_rows, local.peak_intermediate_rows);
@@ -722,23 +723,23 @@ Result<bool> PlanDriveNonempty(const Database& db, IneqCompiled& c,
 
 // Plan-routed evaluation driver.
 Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
+                                   const EvalContext& ctx,
                                    const IneqOptions& options,
                                    IneqStats* stats, PlanStats* plan_stats) {
   const Plan& p = c.analysis;
   Relation answers(c.query.head.size());
   if (p.always_false) return answers;
-  TraceSpan route_span(options.runtime.tracer, "route.theorem2");
+  TraceSpan route_span(ctx.runtime.tracer, "route.theorem2");
   PQ_ASSIGN_OR_RETURN(ColoringFamily family, MakeFamily(p, options, stats));
-  const ResourceLimits limits = options.EffectiveLimits();
   PlanStats local;
   size_t colorings_run = 0;
   for (size_t m = 0; m < family.size(); ++m) {
-    PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+    PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
     PQ_FAULT_POINT("ineq.coloring");
     TraceSpan coloring_span(
-        options.runtime.tracer, "coloring",
-        options.runtime.tracer != nullptr ? internal::StrCat("m=", m)
-                                          : std::string());
+        ctx.runtime.tracer, "coloring",
+        ctx.runtime.tracer != nullptr ? internal::StrCat("m=", m)
+                                      : std::string());
     if (stats != nullptr) stats->trials = m + 1;
     std::vector<NamedRelation> inputs = HashedInputs(p, family, m);
     if (c.formula_mode) {
@@ -749,8 +750,8 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
       std::vector<const NamedRelation*> ptrs;
       ptrs.reserve(inputs.size());
       for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-      ExecContext ctx{ptrs, limits, &local, options.runtime};
-      ExecSession session(ctx);
+      ExecContext exec{ptrs, ctx.limits, &local, ctx.runtime};
+      ExecSession session(exec);
       PQ_ASSIGN_OR_RETURN(NamedRelation root, session.Run(*c.decision_root));
       ++colorings_run;
       if (root.empty()) continue;
@@ -767,9 +768,9 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
       std::vector<const NamedRelation*> ptrs;
       ptrs.reserve(inputs.size());
       for (const NamedRelation& in : inputs) ptrs.push_back(&in);
-      ExecContext ctx{ptrs, limits, &local, options.runtime};
+      ExecContext exec{ptrs, ctx.limits, &local, ctx.runtime};
       PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
-                          ExecutePlan(*c.eval_root, ctx));
+                          ExecutePlan(*c.eval_root, exec));
       ++colorings_run;
       Relation qh = BindingsToAnswers(bindings, c.query.head);
       for (size_t r = 0; r < qh.size(); ++r) answers.Add(qh.Row(r));
@@ -778,8 +779,8 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
   // One compile, `colorings_run` executions: every re-binding past the
   // first is the cache's per-coloring reuse (counted per coloring, not per
   // plan pass).
-  if (options.plan_cache != nullptr && colorings_run > 1) {
-    options.plan_cache->NoteReuse(colorings_run - 1);
+  if (ctx.plan_cache != nullptr && colorings_run > 1) {
+    ctx.plan_cache->NoteReuse(colorings_run - 1);
   }
   if (stats != nullptr) {
     stats->peak_rows = std::max(stats->peak_rows, local.peak_intermediate_rows);
@@ -793,44 +794,48 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
 }  // namespace
 
 Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
-                          const IneqOptions& options, IneqStats* stats,
-                          PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveNonempty(db, *compiled, options, stats, plan_stats);
+                          const EvalContext& ctx, const IneqOptions& options,
+                          IneqStats* stats, PlanStats* plan_stats) {
+  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, ctx));
+  return PlanDriveNonempty(db, *compiled, ctx, options, stats, plan_stats);
 }
 
 Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
+                              const EvalContext& ctx,
                               const IneqOptions& options, IneqStats* stats,
                               PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, options));
-  return PlanDriveEvaluate(db, *compiled, options, stats, plan_stats);
+  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, nullptr, ctx));
+  return PlanDriveEvaluate(db, *compiled, ctx, options, stats, plan_stats);
 }
 
 Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
                                  const IneqFormula& phi,
+                                 const EvalContext& ctx,
                                  const IneqOptions& options, IneqStats* stats,
                                  PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveNonempty(db, *compiled, options, stats, plan_stats);
+  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, ctx));
+  return PlanDriveNonempty(db, *compiled, ctx, options, stats, plan_stats);
 }
 
 Result<Relation> IneqFormulaEvaluate(const Database& db,
                                      const ConjunctiveQuery& q,
                                      const IneqFormula& phi,
+                                     const EvalContext& ctx,
                                      const IneqOptions& options,
                                      IneqStats* stats,
                                      PlanStats* plan_stats) {
-  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, options));
-  return PlanDriveEvaluate(db, *compiled, options, stats, plan_stats);
+  PQ_ASSIGN_OR_RETURN(auto compiled, GetCompiled(db, q, &phi, ctx));
+  return PlanDriveEvaluate(db, *compiled, ctx, options, stats, plan_stats);
 }
 
 Result<bool> IneqContains(const Database& db, const ConjunctiveQuery& q,
                           const std::vector<Value>& tuple,
-                          const IneqOptions& options, IneqStats* stats) {
+                          const EvalContext& ctx, const IneqOptions& options,
+                          IneqStats* stats) {
   if (tuple.size() != q.head.size()) {
     return Status::InvalidArgument("tuple arity does not match query head");
   }
-  return IneqNonempty(db, q.BindHead(tuple), options, stats);
+  return IneqNonempty(db, q.BindHead(tuple), ctx, options, stats);
 }
 
 Result<std::string> IneqPlanText(const Database& db,

@@ -41,15 +41,15 @@
 #include <string>
 
 #include "common/status.hpp"
+#include "eval/eval_context.hpp"
 #include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
 #include "query/conjunctive_query.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
-/// Options for the Theorem 2 engine.
+/// Theorem 2 options: the coloring driver (the run environment is the
+/// EvalContext).
 struct IneqOptions {
   enum class Driver {
     /// Certified family when feasible on the ground set, else Monte Carlo.
@@ -66,30 +66,9 @@ struct IneqOptions {
   /// witness.
   double mc_error_exponent = 4.0;
   uint64_t seed = 0xC0FFEE;
-  /// Unified resource guard, enforced by the shared executor on EVERY
-  /// per-coloring plan execution (each coloring gets a fresh max_steps
-  /// budget: the bound is per residual query, not per family).
-  ResourceLimits limits;
-  /// Parallel runtime binding: each coloring's plan execution may go
-  /// morsel/structurally parallel; the coloring loop itself is sequential
-  /// (decision mode short-circuits at the first witness coloring).
-  RuntimeOptions runtime;
-  /// Cross-query plan cache (optional, engine-owned): the compiled residual
-  /// plan — S_j inputs, join tree, Y sets, lowered DAGs — is keyed by the
-  /// canonical query signature (+ formula) and database generation. Each
-  /// additional coloring executed against the compiled plan is credited as
-  /// a cache hit (PlanCache::NoteReuse).
-  PlanCache* plan_cache = nullptr;
-  /// DEPRECATED alias for limits.max_rows (the historical per-join guard).
-  /// Used only when limits.max_rows == 0.
-  uint64_t max_rows = 0;
   /// Certification budget: max number of k-subsets of the ground set.
   uint64_t certified_max_subsets = 2'000'000;
   size_t certified_max_members = 100'000;
-
-  ResourceLimits EffectiveLimits() const {
-    return limits.MergedWith(max_rows, /*legacy_max_steps=*/0);
-  }
 };
 
 /// Instrumentation reported by the engine.
@@ -108,7 +87,18 @@ struct IneqStats {
 /// is wrong with probability <= e^-c (a `true` is always sound).
 /// `plan_stats`, when given, receives the shared executor's counters
 /// aggregated over every coloring executed.
+///
+/// ctx.limits are enforced on EVERY per-coloring plan execution (each
+/// coloring gets a fresh max_steps budget: the bound is per residual query,
+/// not per family). Each coloring's plan execution may go morsel/
+/// structurally parallel; the coloring loop itself is sequential (decision
+/// mode short-circuits at the first witness coloring). With ctx.plan_cache
+/// the compiled residual plan — S_j inputs, join tree, Y sets, lowered DAGs
+/// — is keyed by the canonical query signature (+ formula) and database
+/// generation, and each additional coloring executed against it is
+/// credited as a cache hit (PlanCache::NoteReuse).
 Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
+                          const EvalContext& ctx = {},
                           const IneqOptions& options = {},
                           IneqStats* stats = nullptr,
                           PlanStats* plan_stats = nullptr);
@@ -116,6 +106,7 @@ Result<bool> IneqNonempty(const Database& db, const ConjunctiveQuery& q,
 /// Computes Q(d). With a certified family the result is exact; with Monte
 /// Carlo each answer tuple is missed with probability <= e^-c.
 Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
+                              const EvalContext& ctx = {},
                               const IneqOptions& options = {},
                               IneqStats* stats = nullptr,
                               PlanStats* plan_stats = nullptr);
@@ -123,6 +114,7 @@ Result<Relation> IneqEvaluate(const Database& db, const ConjunctiveQuery& q,
 /// Decides t ∈ Q(d).
 Result<bool> IneqContains(const Database& db, const ConjunctiveQuery& q,
                           const std::vector<Value>& tuple,
+                          const EvalContext& ctx = {},
                           const IneqOptions& options = {},
                           IneqStats* stats = nullptr);
 
@@ -145,6 +137,7 @@ class IneqFormula;
 /// witness values and formula constants, exactly as in Theorem 2.
 Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
                                  const IneqFormula& phi,
+                                 const EvalContext& ctx = {},
                                  const IneqOptions& options = {},
                                  IneqStats* stats = nullptr,
                                  PlanStats* plan_stats = nullptr);
@@ -157,6 +150,7 @@ Result<bool> IneqFormulaNonempty(const Database& db, const ConjunctiveQuery& q,
 Result<Relation> IneqFormulaEvaluate(const Database& db,
                                      const ConjunctiveQuery& q,
                                      const IneqFormula& phi,
+                                     const EvalContext& ctx = {},
                                      const IneqOptions& options = {},
                                      IneqStats* stats = nullptr,
                                      PlanStats* plan_stats = nullptr);

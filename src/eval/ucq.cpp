@@ -22,8 +22,8 @@ namespace paraquery {
 // dedup and the program-wide plan cache share one notion of query identity.
 
 Result<std::vector<ConjunctiveQuery>> ExpandDedupedDisjuncts(
-    const PositiveQuery& q, uint64_t max_disjuncts, UcqStats* stats) {
-  PQ_ASSIGN_OR_RETURN(auto cqs, q.ToUnionOfCqs(max_disjuncts));
+    const PositiveQuery& q, UcqStats* stats) {
+  PQ_ASSIGN_OR_RETURN(auto cqs, q.ToUnionOfCqs(kMaxUcqDisjuncts));
   if (stats != nullptr) stats->disjuncts_expanded = cqs.size();
   std::unordered_set<std::string> seen;
   std::vector<ConjunctiveQuery> unique;
@@ -40,59 +40,42 @@ Result<std::vector<ConjunctiveQuery>> ExpandDedupedDisjuncts(
 
 namespace {
 
-bool RouteAcyclic(const ConjunctiveQuery& cq, const UcqOptions& options) {
-  return options.use_acyclic_evaluator && !cq.body.empty() &&
-         !cq.HasComparisons() && cq.IsAcyclic();
+bool RouteAcyclic(const ConjunctiveQuery& cq) {
+  return !cq.body.empty() && !cq.HasComparisons() && cq.IsAcyclic();
 }
 
 Result<Relation> EvaluateDisjunct(const Database& db,
                                   const ConjunctiveQuery& cq,
-                                  const UcqOptions& options, UcqStats* stats) {
-  PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+                                  const EvalContext& ctx, UcqStats* stats) {
+  PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
   PQ_FAULT_POINT("ucq.disjunct");
-  TraceSpan span(options.runtime.tracer, "disjunct");
+  TraceSpan span(ctx.runtime.tracer, "disjunct");
   PlanStats* plan = stats != nullptr ? &stats->plan : nullptr;
   if (stats != nullptr) ++stats->disjuncts_evaluated;
-  if (RouteAcyclic(cq, options)) {
+  if (RouteAcyclic(cq)) {
     if (stats != nullptr) ++stats->acyclic_disjuncts;
-    AcyclicOptions acyclic;
-    acyclic.limits = options.EffectiveLimits();
-    acyclic.runtime = options.runtime;
-    acyclic.plan_cache = options.plan_cache;
-    return AcyclicEvaluate(db, cq, acyclic, /*stats=*/nullptr, plan);
+    return AcyclicEvaluate(db, cq, ctx, plan);
   }
   if (stats != nullptr) ++stats->naive_disjuncts;
-  NaiveOptions naive;
-  naive.limits = options.EffectiveLimits();
-  naive.runtime = options.runtime;
-  naive.plan_cache = options.plan_cache;
-  naive.vectorize = options.vectorize;
-  return NaiveEvaluateCq(db, cq, naive, plan);
+  return NaiveEvaluateCq(db, cq, ctx, plan);
 }
 
 Result<bool> DisjunctNonempty(const Database& db, const ConjunctiveQuery& cq,
-                              const UcqOptions& options, UcqStats* stats) {
-  PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+                              const EvalContext& ctx, UcqStats* stats) {
+  PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
   PQ_FAULT_POINT("ucq.disjunct");
-  TraceSpan span(options.runtime.tracer, "disjunct");
+  TraceSpan span(ctx.runtime.tracer, "disjunct");
   PlanStats* plan = stats != nullptr ? &stats->plan : nullptr;
   if (stats != nullptr) ++stats->disjuncts_evaluated;
-  if (RouteAcyclic(cq, options)) {
+  if (RouteAcyclic(cq)) {
     if (stats != nullptr) ++stats->acyclic_disjuncts;
-    AcyclicOptions acyclic;
-    acyclic.limits = options.EffectiveLimits();
-    acyclic.runtime = options.runtime;
-    acyclic.plan_cache = options.plan_cache;
-    return AcyclicNonempty(db, cq, acyclic, /*stats=*/nullptr, plan);
+    return AcyclicNonempty(db, cq, ctx, plan);
   }
   if (stats != nullptr) ++stats->naive_disjuncts;
-  // The backtracking decision search is inherently sequential; the runtime
-  // binding is threaded for its abort polling (query_ctx), not for
-  // parallelism — the runtime only parallelizes across disjuncts here.
-  NaiveOptions naive;
-  naive.limits = options.EffectiveLimits();
-  naive.runtime = options.runtime;
-  return NaiveCqNonempty(db, cq, naive);
+  // The backtracking decision search is inherently sequential; the context
+  // is threaded for its abort polling (query_ctx), not for parallelism —
+  // the runtime only parallelizes across disjuncts here.
+  return NaiveCqNonempty(db, cq, ctx);
 }
 
 // Folds per-task disjunct stats (in disjunct order) into `stats` after a
@@ -116,17 +99,17 @@ void MergeDisjunctStats(UcqStats* stats, const std::vector<UcqStats>& parts,
 // error in disjunct order wins and cancels the remaining tasks).
 Result<std::vector<Relation>> EvaluateAllDisjuncts(
     const Database& db, const std::vector<ConjunctiveQuery>& cqs,
-    const UcqOptions& options, UcqStats* stats) {
+    const EvalContext& ctx, UcqStats* stats) {
   std::vector<Relation> out;
   out.reserve(cqs.size());
-  if (options.runtime.parallel() && cqs.size() > 1) {
+  if (ctx.runtime.parallel() && cqs.size() > 1) {
     std::vector<std::optional<Result<Relation>>> parts(cqs.size());
     std::vector<UcqStats> part_stats(cqs.size());
-    TaskGroup group(options.runtime.scheduler);
+    TaskGroup group(ctx.runtime.scheduler);
     for (size_t i = 0; i < cqs.size(); ++i) {
       group.Spawn([&, i] {
         parts[i].emplace(EvaluateDisjunct(
-            db, cqs[i], options, stats != nullptr ? &part_stats[i] : nullptr));
+            db, cqs[i], ctx, stats != nullptr ? &part_stats[i] : nullptr));
         if (!parts[i]->ok()) group.Cancel();
       });
     }
@@ -141,7 +124,7 @@ Result<std::vector<Relation>> EvaluateAllDisjuncts(
     return out;
   }
   for (const ConjunctiveQuery& cq : cqs) {
-    PQ_ASSIGN_OR_RETURN(Relation part, EvaluateDisjunct(db, cq, options, stats));
+    PQ_ASSIGN_OR_RETURN(Relation part, EvaluateDisjunct(db, cq, ctx, stats));
     out.push_back(std::move(part));
   }
   return out;
@@ -150,12 +133,12 @@ Result<std::vector<Relation>> EvaluateAllDisjuncts(
 }  // namespace
 
 Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
-                                  const UcqOptions& options, UcqStats* stats) {
-  TraceSpan route_span(options.runtime.tracer, "route.ucq");
+                                  const EvalContext& ctx, UcqStats* stats) {
+  TraceSpan route_span(ctx.runtime.tracer, "route.ucq");
   PQ_ASSIGN_OR_RETURN(auto cqs,
-                      ExpandDedupedDisjuncts(q, options.max_disjuncts, stats));
+                      ExpandDedupedDisjuncts(q, stats));
   PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
-                      EvaluateAllDisjuncts(db, cqs, options, stats));
+                      EvaluateAllDisjuncts(db, cqs, ctx, stats));
   Relation answers(q.fo().head.size());
   for (const Relation& part : parts) {
     for (size_t r = 0; r < part.size(); ++r) answers.Add(part.Row(r));
@@ -166,9 +149,9 @@ Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
 
 Result<Relation> EvaluatePositiveCount(const Database& db,
                                        const PositiveQuery& q,
-                                       const UcqOptions& options,
+                                       const EvalContext& ctx,
                                        UcqStats* stats) {
-  TraceSpan route_span(options.runtime.tracer, "route.ucq_count");
+  TraceSpan route_span(ctx.runtime.tracer, "route.ucq_count");
   PQ_FAULT_POINT("ucq.count");
   const FirstOrderQuery& fo = q.fo();
   if (!fo.answer.counting()) {
@@ -186,7 +169,7 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
   PQ_ASSIGN_OR_RETURN(PositiveQuery enum_q,
                       PositiveQuery::FromFirstOrder(std::move(enum_fo)));
   PQ_ASSIGN_OR_RETURN(
-      auto cqs, ExpandDedupedDisjuncts(enum_q, options.max_disjuncts, stats));
+      auto cqs, ExpandDedupedDisjuncts(enum_q, stats));
   // Group-key positions within the free-variable tuple (Validate guarantees
   // every group key is free).
   std::vector<int> gcols;
@@ -198,7 +181,7 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
     gcols.push_back(static_cast<int>(it - free_vars.begin()));
   }
   PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
-                      EvaluateAllDisjuncts(db, cqs, options, stats));
+                      EvaluateAllDisjuncts(db, cqs, ctx, stats));
   const size_t n = parts.size();
   // Inclusion–exclusion over disjunct subsets: per group g,
   //   |∪ A_i restricted to g| = Σ_{∅≠S} (−1)^{|S|+1} |∩_{i∈S} A_i at g|.
@@ -225,7 +208,7 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
     std::map<std::vector<Value>, Value> acc;
     std::vector<Value> key(gcols.size());
     for (uint32_t m : masks) {
-      PQ_RETURN_NOT_OK(options.runtime.CheckInterrupt());
+      PQ_RETURN_NOT_OK(ctx.runtime.CheckInterrupt());
       bool pruned = false;
       for (uint32_t e : empty_masks) {
         if ((m & e) == e) {
@@ -282,11 +265,11 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
 }
 
 Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
-                              const UcqOptions& options, UcqStats* stats) {
-  TraceSpan route_span(options.runtime.tracer, "route.ucq");
+                              const EvalContext& ctx, UcqStats* stats) {
+  TraceSpan route_span(ctx.runtime.tracer, "route.ucq");
   PQ_ASSIGN_OR_RETURN(auto cqs,
-                      ExpandDedupedDisjuncts(q, options.max_disjuncts, stats));
-  if (options.runtime.parallel() && cqs.size() > 1) {
+                      ExpandDedupedDisjuncts(q, stats));
+  if (ctx.runtime.parallel() && cqs.size() > 1) {
     // Concurrent disjunct decisions, cancelling on the first witness (a
     // true answer decides the union regardless of the other disjuncts, so
     // dropping unstarted tasks is the parallel analogue of the sequential
@@ -297,11 +280,11 @@ Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
     // false (sequentially it might have errored first).
     std::vector<std::optional<Result<bool>>> parts(cqs.size());
     std::vector<UcqStats> part_stats(cqs.size());
-    TaskGroup group(options.runtime.scheduler);
+    TaskGroup group(ctx.runtime.scheduler);
     for (size_t i = 0; i < cqs.size(); ++i) {
       group.Spawn([&, i] {
         parts[i].emplace(DisjunctNonempty(
-            db, cqs[i], options, stats != nullptr ? &part_stats[i] : nullptr));
+            db, cqs[i], ctx, stats != nullptr ? &part_stats[i] : nullptr));
         if (parts[i]->ok() && parts[i]->value()) group.Cancel();
       });
     }
@@ -316,7 +299,7 @@ Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
   }
   for (const ConjunctiveQuery& cq : cqs) {
     PQ_ASSIGN_OR_RETURN(bool nonempty,
-                        DisjunctNonempty(db, cq, options, stats));
+                        DisjunctNonempty(db, cq, ctx, stats));
     if (nonempty) return true;
   }
   return false;

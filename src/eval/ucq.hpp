@@ -11,45 +11,16 @@
 #include <cstdint>
 
 #include "common/status.hpp"
+#include "eval/eval_context.hpp"
 #include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
 #include "query/positive_query.hpp"
 #include "relational/database.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace paraquery {
 
-/// Options for the UCQ evaluator.
-struct UcqOptions {
-  /// Cap on the number of disjuncts produced by the expansion.
-  uint64_t max_disjuncts = 100'000;
-  /// Route acyclic disjuncts through the Yannakakis evaluator instead of
-  /// naive backtracking.
-  bool use_acyclic_evaluator = true;
-  /// Parallel runtime binding: with a scheduler, disjuncts evaluate as
-  /// concurrent tasks (results are merged in disjunct order, so the answer
-  /// is identical to the sequential evaluation) and each disjunct's plan
-  /// may itself execute morsel-parallel.
-  RuntimeOptions runtime;
-  /// Unified resource guard, forwarded to every disjunct evaluation.
-  ResourceLimits limits;
-  /// Cross-query plan cache (optional, engine-owned), forwarded to every
-  /// disjunct evaluation: re-expanded disjuncts of repeated positive queries
-  /// reuse their compiled plans. Safe under parallel disjunct evaluation
-  /// because disjuncts are signature-deduplicated first.
-  PlanCache* plan_cache = nullptr;
-  /// Forwarded to every cyclic disjunct's plan-based evaluation (see
-  /// NaiveOptions::vectorize). Acyclic disjuncts use Semijoin schedules,
-  /// which are never vectorized.
-  bool vectorize = true;
-  /// DEPRECATED alias for limits.max_steps (historically only applied to
-  /// cyclic disjuncts). Used only when limits.max_steps == 0.
-  uint64_t naive_max_steps = 0;
-
-  ResourceLimits EffectiveLimits() const {
-    return limits.MergedWith(/*legacy_max_rows=*/0, naive_max_steps);
-  }
-};
+/// Cap on the number of disjuncts the expansion may produce (beyond it the
+/// evaluation fails with ResourceExhausted).
+inline constexpr uint64_t kMaxUcqDisjuncts = 100'000;
 
 /// Instrumentation for one EvaluatePositive/PositiveNonempty call.
 struct UcqStats {
@@ -69,14 +40,20 @@ struct UcqStats {
   PlanStats plan;
 };
 
-/// Computes Q(d) for a positive query.
+/// Computes Q(d) for a positive query. Acyclic comparison-free disjuncts
+/// run the Yannakakis plan, the rest the cyclic plan, all under the same
+/// `ctx`. With a scheduler bound, disjuncts evaluate as concurrent tasks
+/// (results are merged in disjunct order, so the answer is identical to the
+/// sequential evaluation) and each disjunct's plan may itself execute
+/// morsel-parallel. Sharing ctx.plan_cache is safe under parallel disjunct
+/// evaluation because disjuncts are signature-deduplicated first.
 Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
-                                  const UcqOptions& options = {},
+                                  const EvalContext& ctx = {},
                                   UcqStats* stats = nullptr);
 
 /// Decides Q(d) != {} (short-circuits across disjuncts).
 Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
-                              const UcqOptions& options = {},
+                              const EvalContext& ctx = {},
                               UcqStats* stats = nullptr);
 
 /// Counting evaluation of a positive query whose AnswerSpec is counting
@@ -93,18 +70,18 @@ Result<bool> PositiveNonempty(const Database& db, const PositiveQuery& q,
 /// COUNT(*) (a [0] row when empty), else group keys + count sorted by group.
 Result<Relation> EvaluatePositiveCount(const Database& db,
                                        const PositiveQuery& q,
-                                       const UcqOptions& options = {},
+                                       const EvalContext& ctx = {},
                                        UcqStats* stats = nullptr);
 
 // CanonicalCqSignature moved to plan/plan_cache.hpp (included above): the
 // disjunct dedup and the plan cache share one notion of query identity.
 
-/// Expands `q` into at most `max_disjuncts` CQs and drops syntactic
+/// Expands `q` into at most kMaxUcqDisjuncts CQs and drops syntactic
 /// duplicates (CanonicalCqSignature). The single expansion path shared by
 /// the evaluator and EXPLAIN's plan rendering; fills the expansion counters
 /// of `stats` when given.
 Result<std::vector<ConjunctiveQuery>> ExpandDedupedDisjuncts(
-    const PositiveQuery& q, uint64_t max_disjuncts, UcqStats* stats = nullptr);
+    const PositiveQuery& q, UcqStats* stats = nullptr);
 
 }  // namespace paraquery
 

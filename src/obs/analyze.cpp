@@ -7,8 +7,8 @@
 namespace paraquery {
 
 void PlanCapture::Note(const PlanNode& root, const VarTable* vars) {
-  // Render outside the lock: RenderAnalyzedPlan only reads the plan, and
-  // the executor guarantees one execution of a given root at a time.
+  // Render outside the lock: RenderAnalyzedPlan only reads the plan (its
+  // actuals are atomics, written by whichever executions share the root).
   std::string render = RenderAnalyzedPlan(root, vars);
   std::lock_guard<std::mutex> lock(mutex_);
   for (Entry& e : plans_) {

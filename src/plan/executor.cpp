@@ -415,10 +415,11 @@ class Executor {
             static_cast<size_t>(pipe.source->input_slot) < ctx_.inputs.size() &&
             ctx_.inputs[pipe.source->input_slot]->size() >=
                 ctx_.runtime.vec_min_source_rows) {
-          Result<NamedRelation> out = ExecVectorized(n, pipe, charge);
+          size_t batches = 0;
+          Result<NamedRelation> out = ExecVectorized(pipe, charge, &batches);
           if (out.ok() && ctx_.stats != nullptr) {
             std::lock_guard<std::mutex> lock(stats_mutex_);
-            ctx_.stats->vec_batches += n.actual_batches;
+            ctx_.stats->vec_batches += batches;
           }
           return out;
         }
@@ -694,8 +695,8 @@ class Executor {
   // and only when the probe side is nonempty — the sequential operation
   // order), and every stage tallies through AccountRows in chain order, so
   // limit decisions match the row path decision for decision.
-  Result<NamedRelation> ExecVectorized(PlanNode& /*n*/, const VecPipeline& pipe,
-                                       Charge* charge) {
+  Result<NamedRelation> ExecVectorized(const VecPipeline& pipe,
+                                       Charge* charge, size_t* batches) {
     VecExecEnv env;
     env.inputs = ctx_.inputs;
     env.runtime = ctx_.runtime;
@@ -734,7 +735,7 @@ class Executor {
       local.emplace(right.rel(), rcols, pfor_);
       return *local;
     };
-    return ExecuteVecPipeline(pipe, env);
+    return ExecuteVecPipeline(pipe, env, batches);
   }
 
   const ExecContext& ctx_;

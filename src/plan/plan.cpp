@@ -507,20 +507,23 @@ struct Renderer {
       } else {
         out << " est=?";
       }
-      if (n.actual_rows != PlanNode::kNotExecuted) {
-        out << " actual=" << n.actual_rows;
-        if (n.actual_morsels > 0) out << " morsels=" << n.actual_morsels;
-        if (n.actual_batches > 0) out << " vec=" << n.actual_batches;
+      const uint64_t rows = n.actual_rows.load();
+      if (rows != PlanNode::kNotExecuted) {
+        const uint64_t morsels = n.actual_morsels.load();
+        const uint64_t batches = n.actual_batches.load();
+        out << " actual=" << rows;
+        if (morsels > 0) out << " morsels=" << morsels;
+        if (batches > 0) out << " vec=" << batches;
       }
     }
-    if (analyzed && n.actual_ns > 0) {
+    const uint64_t ns = n.actual_ns.load();
+    if (analyzed && ns > 0) {
       uint64_t children_ns = 0;
       for (const PlanNodePtr& c : n.children) children_ns += c->actual_ns;
-      uint64_t self_ns =
-          children_ns >= n.actual_ns ? 0 : n.actual_ns - children_ns;
+      uint64_t self_ns = children_ns >= ns ? 0 : ns - children_ns;
       char buf[64];
       std::snprintf(buf, sizeof(buf), " time=%.3fms self=%.3fms",
-                    static_cast<double>(n.actual_ns) / 1e6,
+                    static_cast<double>(ns) / 1e6,
                     static_cast<double>(self_ns) / 1e6);
       out << buf;
     }

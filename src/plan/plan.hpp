@@ -12,6 +12,7 @@
 #ifndef PARAQUERY_PLAN_PLAN_H_
 #define PARAQUERY_PLAN_PLAN_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -27,10 +28,9 @@
 
 namespace paraquery {
 
-/// Unified resource guard, forwarded from EngineOptions to every evaluator
-/// and plan execution. Replaces the historical AcyclicOptions::max_rows /
-/// NaiveOptions::max_steps / UcqOptions::naive_max_steps trio (those fields
-/// remain as deprecated aliases).
+/// Unified resource guard, carried from EngineOptions by the per-query
+/// EvalContext (eval/eval_context.hpp) to every evaluator and plan
+/// execution.
 struct ResourceLimits {
   /// Abort (ResourceExhausted) when a single operator's output exceeds this
   /// many rows (0 = off). Scans are inputs and are exempt.
@@ -41,21 +41,12 @@ struct ResourceLimits {
   /// Abort (DeadlineExceeded) when the query has run for this many wall-clock
   /// milliseconds (0 = off). Armed by the Engine into a QueryContext at the
   /// start of each Run; evaluators called directly honor it only when the
-  /// caller threads a QueryContext through RuntimeOptions::query_ctx.
+  /// caller binds a QueryContext through RuntimeOptions::query_ctx.
   uint64_t max_wall_ms = 0;
   /// Abort (ResourceExhausted) when RowBlock storage allocated during the
   /// query exceeds this many bytes (0 = off). Same arming path as
   /// max_wall_ms.
   uint64_t max_bytes = 0;
-
-  /// `legacy` wins only where this struct has no value (legacy-alias merge).
-  ResourceLimits MergedWith(uint64_t legacy_max_rows,
-                            uint64_t legacy_max_steps) const {
-    ResourceLimits out = *this;
-    if (out.max_rows == 0) out.max_rows = legacy_max_rows;
-    if (out.max_steps == 0) out.max_steps = legacy_max_steps;
-    return out;
-  }
 };
 
 /// Physical operators.
@@ -112,10 +103,10 @@ enum class PlanRepr {
   kColumnar,
 };
 
-/// Counters shared by every plan execution. This is the unified home the
-/// per-evaluator AcyclicStats/DatalogStats operator counters folded into;
-/// evaluator-specific structs keep their non-operator counters (fixpoint
-/// iterations, EDB cache hits) and mirror these for backward compatibility.
+/// Counters shared by every plan execution: the one home of the operator
+/// counters. Evaluator-specific structs (DatalogStats, UcqStats, IneqStats)
+/// keep their route-specific counters (fixpoint iterations, EDB cache hits,
+/// colorings) next to an aggregated PlanStats.
 struct PlanStats {
   size_t scans = 0;
   size_t selects = 0;
@@ -214,19 +205,23 @@ struct PlanNode {
   /// a "[vec]" suffix.
   PlanRepr repr = PlanRepr::kRow;
 
+  // The actuals below are executor-written atomics: a cached plan may be
+  // executed by concurrent queries at once. Their renders then mix the
+  // executions; answers and PlanStats never read them.
+
   /// Filled by the executor (rows of the computed result).
-  uint64_t actual_rows = kNotExecuted;
+  std::atomic<uint64_t> actual_rows{kNotExecuted};
   /// Morsels the executor processed for this operator (0 = it ran
   /// sequentially); rendered next to actual_rows for parallel executions.
-  uint64_t actual_morsels = 0;
+  std::atomic<uint64_t> actual_morsels{0};
   /// Column batches a kMaterialize boundary pushed through its vectorized
   /// pipeline (0 = not executed vectorized); rendered as "vec=N".
-  uint64_t actual_batches = 0;
+  std::atomic<uint64_t> actual_batches{0};
   /// Cumulative wall nanoseconds spent computing this node, children
   /// included (the compute recursion runs through the children). Filled only
   /// when the executor runs with timing armed (tracing or EXPLAIN ANALYZE);
   /// 0 otherwise. Summed across executions of a reused plan.
-  uint64_t actual_ns = 0;
+  std::atomic<uint64_t> actual_ns{0};
 
   /// Clears actual_rows/actual_morsels recursively (before re-executing a
   /// cached plan).

@@ -24,16 +24,15 @@
 // drops only entries whose dependencies moved — a hot write to one relation
 // no longer evicts plans that never touch it. Whole-cache flushes remain
 // only for explicit Clear(). Capacity is bounded by a real LRU (see
-// set_capacity). The Engine owns one cache per database and threads it to
-// the evaluators through their options.
+// set_capacity). The Engine owns one cache per database and hands it to
+// the evaluators through the per-query EvalContext.
 //
-// Thread-safety: Lookup/Insert/stats are mutex-guarded (concurrent UCQ
-// disjuncts and Datalog rule firings share the cache). The cached ARTIFACTS
-// are not: a cached PhysicalPlan carries executor-written actual_rows, so a
-// given entry must not be executed by two threads at once. Within one
-// engine call that cannot happen (UCQ disjuncts are signature-deduplicated;
-// the Datalog engine clones rule plans per variant); across calls the
-// engine is sequential.
+// Thread-safety: Lookup/Insert/stats are mutex-guarded (concurrent queries,
+// UCQ disjuncts and Datalog rule firings share the cache). A cached
+// PhysicalPlan may be executed by several queries at once: execution state
+// lives in the executor, and the nodes' actual_* render counters are
+// atomics. The Datalog engine still clones rule plans per variant, because
+// it rebinds their join-index pointers to the run's own EDB caches.
 #ifndef PARAQUERY_PLAN_PLAN_CACHE_H_
 #define PARAQUERY_PLAN_PLAN_CACHE_H_
 

@@ -4,7 +4,7 @@
 //     Yannakakis schedule: upward semijoins, downward semijoins (the full
 //     reducer), then the upward join-and-project pass — one Semijoin/HashJoin
 //     node per legacy operator call, so PlanStats reproduces the historical
-//     AcyclicStats counts.
+//     per-operator counts.
 //   * Cyclic CQs (and any CQ with comparison atoms) lower to a left-deep
 //     HashJoin chain in the greedy smallest-relation-first connected order,
 //     with comparison atoms applied as Select nodes at the earliest point
@@ -29,7 +29,7 @@ namespace paraquery {
 
 struct PlannerOptions {
   /// Acyclic plans: include the downward semijoin pass (ablation knob,
-  /// mirrors AcyclicOptions::full_reducer).
+  /// set from EvalContext::full_reducer).
   bool full_reducer = true;
   /// Cyclic plans: apply the greedy atom ordering. Off = join in the query's
   /// textual atom order (the seed-order baseline bench_planner measures).

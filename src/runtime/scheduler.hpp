@@ -166,8 +166,8 @@ ParallelForFn MakeParallelFor(TaskScheduler* scheduler);
 /// Default rows per morsel for the data-parallel operators.
 inline constexpr size_t kDefaultMorselRows = 4096;
 
-/// Parallel-runtime binding threaded from EngineOptions through the
-/// evaluator options into plan execution. Default-constructed it selects
+/// Parallel-runtime binding carried from EngineOptions by the per-query
+/// EvalContext into plan execution. Default-constructed it selects
 /// sequential execution (today's single-threaded behavior).
 struct RuntimeOptions {
   TaskScheduler* scheduler = nullptr;  // not owned; null = sequential

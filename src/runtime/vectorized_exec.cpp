@@ -237,7 +237,8 @@ Result<NamedRelation> Transpose(const Batch& cur, const VecExecEnv& env,
 }  // namespace
 
 Result<NamedRelation> ExecuteVecPipeline(const VecPipeline& pipe,
-                                         const VecExecEnv& env) {
+                                         const VecExecEnv& env,
+                                         size_t* batches_out) {
   PlanNode& mat = *pipe.materialize;
   const int slot = pipe.source->input_slot;
   if (slot < 0 || static_cast<size_t>(slot) >= env.inputs.size()) {
@@ -247,7 +248,8 @@ Result<NamedRelation> ExecuteVecPipeline(const VecPipeline& pipe,
   env.on_scan(*pipe.source, src.size());
   const size_t grain = std::max<size_t>(env.runtime.morsel_rows, 1);
   const bool parallel = static_cast<bool>(env.pfor);
-  size_t batches = 0;
+  size_t& batches = *batches_out;
+  batches = 0;
 
   Batch cur;
   cur.attrs = src.attrs();

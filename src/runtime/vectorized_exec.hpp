@@ -67,10 +67,13 @@ struct VecExecEnv {
 };
 
 /// Runs the compiled pipeline and returns the materialized row-major result.
-/// Sets pipe.materialize->actual_batches; the Materialize node itself is not
-/// accounted (it produces no rows beyond its child's).
+/// Sets `*batches` to the column batches this execution processed (and
+/// pipe.materialize->actual_batches, which concurrent executions of a
+/// cached plan share); the Materialize node itself is not accounted (it
+/// produces no rows beyond its child's).
 Result<NamedRelation> ExecuteVecPipeline(const VecPipeline& pipe,
-                                         const VecExecEnv& env);
+                                         const VecExecEnv& env,
+                                         size_t* batches);
 
 }  // namespace paraquery
 

@@ -38,7 +38,7 @@ TEST(IneqTest, PaperEmployeeProjectExample) {
   auto q = ParseConjunctive("g(e) :- EP(e, p), EP(e, q), p != q.")
                .ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);
   EXPECT_TRUE(out.Contains(std::vector<Value>{1}));
   EXPECT_TRUE(stats.certified);
@@ -65,7 +65,7 @@ TEST(IneqTest, PaperStudentCourseExample) {
   auto q = ParseConjunctive(
                "g(s) :- SD(s, d), SC(s, c), CD(c, e), d != e.")
                .ValueOrDie();
-  auto out = IneqEvaluate(db, q, Certified()).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified()).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);
   EXPECT_TRUE(out.Contains(std::vector<Value>{1}));
 }
@@ -74,7 +74,7 @@ TEST(IneqTest, CoOccurringInequalityGoesToI2) {
   Database db = GraphDb(CycleGraph(4));
   auto q = ParseConjunctive("ans(x, y) :- E(x, y), x != y.").ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 0);  // handled entirely by selections
   EXPECT_EQ(stats.i2_atoms, 1u);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
@@ -86,7 +86,7 @@ TEST(IneqTest, VarConstInequalitiesPushed) {
   auto q = ParseConjunctive("ans(x) :- E(x, y), x != 0, y != 3.")
                .ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 0);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(out.EqualsAsSet(naive));
@@ -96,7 +96,7 @@ TEST(IneqTest, PureAcyclicDegeneratesToYannakakis) {
   Database db = GraphDb(GnpRandom(10, 0.3, 7));
   auto q = ParseConjunctive("ans(a, c) :- E(a,b), E(b,c).").ValueOrDie();
   IneqStats stats;
-  auto out = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 0);
   EXPECT_EQ(stats.family_size, 1u);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
@@ -115,11 +115,11 @@ TEST(IneqTest, RejectsOrderComparisonsAndCyclicQueries) {
 TEST(IneqTest, TriviallyFalseComparisons) {
   Database db = GraphDb(PathGraph(3));
   auto q = ParseConjunctive("p() :- E(x, y), x != x.").ValueOrDie();
-  EXPECT_FALSE(IneqNonempty(db, q, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(db, q, {}, Certified()).ValueOrDie());
   auto q2 = ParseConjunctive("p() :- E(x, y), 3 != 3.").ValueOrDie();
-  EXPECT_FALSE(IneqNonempty(db, q2, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(db, q2, {}, Certified()).ValueOrDie());
   auto q3 = ParseConjunctive("p() :- E(x, y), 3 != 4.").ValueOrDie();
-  EXPECT_TRUE(IneqNonempty(db, q3, Certified()).ValueOrDie());
+  EXPECT_TRUE(IneqNonempty(db, q3, {}, Certified()).ValueOrDie());
 }
 
 TEST(IneqTest, SimplePathsOfLengthK) {
@@ -132,12 +132,12 @@ TEST(IneqTest, SimplePathsOfLengthK) {
   auto q = ParseConjunctive(text).ValueOrDie();
 
   Database path = GraphDb(PathGraph(5));
-  EXPECT_TRUE(IneqNonempty(path, q, Certified()).ValueOrDie());
+  EXPECT_TRUE(IneqNonempty(path, q, {}, Certified()).ValueOrDie());
 
   Graph star(6);
   for (int i = 1; i < 6; ++i) star.AddEdge(0, i);
   Database stardb = GraphDb(star);
-  EXPECT_FALSE(IneqNonempty(stardb, q, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(stardb, q, {}, Certified()).ValueOrDie());
 }
 
 TEST(IneqTest, DisconnectedQueryComponentsWithCrossInequality) {
@@ -148,10 +148,10 @@ TEST(IneqTest, DisconnectedQueryComponentsWithCrossInequality) {
   db.relation(a).Add({1});
   db.relation(b).Add({1});
   auto q = ParseConjunctive("p() :- A(x), B(y), x != y.").ValueOrDie();
-  EXPECT_FALSE(IneqNonempty(db, q, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqNonempty(db, q, {}, Certified()).ValueOrDie());
   db.relation(b).Add({2});
-  EXPECT_TRUE(IneqNonempty(db, q, Certified()).ValueOrDie());
-  auto out = IneqEvaluate(db, q, Certified()).ValueOrDie();
+  EXPECT_TRUE(IneqNonempty(db, q, {}, Certified()).ValueOrDie());
+  auto out = IneqEvaluate(db, q, {}, Certified()).ValueOrDie();
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -159,8 +159,8 @@ TEST(IneqTest, ContainsDecision) {
   Database db = GraphDb(PathGraph(4));
   auto q = ParseConjunctive("ans(x, z) :- E(x, y), E(y, z), x != z.")
                .ValueOrDie();
-  EXPECT_TRUE(IneqContains(db, q, {0, 2}, Certified()).ValueOrDie());
-  EXPECT_FALSE(IneqContains(db, q, {0, 0}, Certified()).ValueOrDie());
+  EXPECT_TRUE(IneqContains(db, q, {0, 2}, {}, Certified()).ValueOrDie());
+  EXPECT_FALSE(IneqContains(db, q, {0, 0}, {}, Certified()).ValueOrDie());
 }
 
 TEST(IneqTest, MonteCarloIsSoundAndUsuallyComplete) {
@@ -175,7 +175,7 @@ TEST(IneqTest, MonteCarloIsSoundAndUsuallyComplete) {
   mc.mc_error_exponent = 6.0;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     mc.seed = seed;
-    EXPECT_TRUE(IneqNonempty(db, q, mc).ValueOrDie()) << "seed=" << seed;
+    EXPECT_TRUE(IneqNonempty(db, q, {}, mc).ValueOrDie()) << "seed=" << seed;
   }
 }
 
@@ -183,7 +183,7 @@ TEST(IneqTest, StatsReportFamilyAndTrials) {
   Database db = GraphDb(PathGraph(6));
   auto q = ParseConjunctive("p() :- E(a,b), E(c,d), a != c.").ValueOrDie();
   IneqStats stats;
-  ASSERT_TRUE(IneqNonempty(db, q, Certified(), &stats).ValueOrDie());
+  ASSERT_TRUE(IneqNonempty(db, q, {}, Certified(), &stats).ValueOrDie());
   EXPECT_EQ(stats.k, 2);
   EXPECT_GE(stats.family_size, 1u);
   EXPECT_GE(stats.trials, 1u);
@@ -236,11 +236,11 @@ TEST_P(IneqPropertyTest, MatchesNaiveOnRandomAcyclicNeqQueries) {
   ASSERT_TRUE(q.IsAcyclic());
 
   IneqStats stats;
-  auto fpt = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive))
       << q.ToString() << "\nk=" << stats.k << " i1=" << stats.i1_atoms;
-  EXPECT_EQ(IneqNonempty(db, q, Certified()).ValueOrDie(), !naive.empty());
+  EXPECT_EQ(IneqNonempty(db, q, {}, Certified()).ValueOrDie(), !naive.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IneqPropertyTest,
@@ -351,15 +351,16 @@ TEST_P(IneqLoweringDifferentialTest, PlanMatchesRecordedOracleByteForByte) {
     options.seed = GetParam();
     const RecordedIneqAnswer& rec = FindRecorded(
         GetParam(), driver == IneqOptions::Driver::kCertified ? 0 : 1);
-    auto planned = IneqEvaluate(db, q, options);
+    auto planned = IneqEvaluate(db, q, {}, options);
     ASSERT_TRUE(planned.ok()) << planned.status();
     ExpectMatchesRecorded(planned.value(), rec, q.ToString());
-    EXPECT_EQ(IneqNonempty(db, q, options).ValueOrDie(), rec.nonempty);
+    EXPECT_EQ(IneqNonempty(db, q, {}, options).ValueOrDie(), rec.nonempty);
     // A warm plan cache must not change a single byte either.
     PlanCache cache;
-    options.plan_cache = &cache;
+    EvalContext warm;
+    warm.plan_cache = &cache;
     for (int round = 0; round < 2; ++round) {
-      auto cached = IneqEvaluate(db, q, options);
+      auto cached = IneqEvaluate(db, q, warm, options);
       ASSERT_TRUE(cached.ok()) << cached.status();
       ExpectMatchesRecorded(cached.value(), rec, q.ToString() + " (cached)");
     }
@@ -389,15 +390,16 @@ TEST(IneqTest, FormulaModePlanMatchesRecordedOracle) {
     options.seed = seed;
     const RecordedIneqAnswer& rec = kRecordedFormulaAnswers[seed - 1];
     ASSERT_EQ(rec.seed, seed);
-    auto planned = IneqFormulaEvaluate(db, q, phi, options);
+    auto planned = IneqFormulaEvaluate(db, q, phi, {}, options);
     ASSERT_TRUE(planned.ok()) << planned.status();
     ExpectMatchesRecorded(planned.value(), rec, "formula mode");
-    EXPECT_EQ(IneqFormulaNonempty(db, q, phi, options).ValueOrDie(),
+    EXPECT_EQ(IneqFormulaNonempty(db, q, phi, {}, options).ValueOrDie(),
               rec.nonempty);
     // Cached formula compilation: same bytes again.
     PlanCache cache;
-    options.plan_cache = &cache;
-    auto cached = IneqFormulaEvaluate(db, q, phi, options);
+    EvalContext warm;
+    warm.plan_cache = &cache;
+    auto cached = IneqFormulaEvaluate(db, q, phi, warm, options);
     ASSERT_TRUE(cached.ok()) << cached.status();
     ExpectMatchesRecorded(cached.value(), rec, "formula cached");
   }
@@ -409,7 +411,7 @@ TEST(IneqTest, LoweredPathReportsPlanStats) {
                .ValueOrDie();
   IneqStats stats;
   PlanStats plan;
-  auto out = IneqEvaluate(db, q, Certified(), &stats, &plan).ValueOrDie();
+  auto out = IneqEvaluate(db, q, {}, Certified(), &stats, &plan).ValueOrDie();
   EXPECT_GT(plan.joins + plan.semijoins, 0u);  // went through the executor
   EXPECT_GT(plan.scans, 0u);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
@@ -423,16 +425,16 @@ TEST(IneqTest, LoweredPathHonorsResourceLimits) {
   auto q = ParseConjunctive(
                "ans(a, d) :- E(a, b), E(b, c), E(c, d), a != d.")
                .ValueOrDie();
-  IneqOptions options;
-  options.limits.max_rows = 10;
-  EXPECT_EQ(IneqEvaluate(db, q, options).status().code(),
+  EvalContext ctx;
+  ctx.limits.max_rows = 10;
+  EXPECT_EQ(IneqEvaluate(db, q, ctx).status().code(),
             StatusCode::kResourceExhausted);
-  options.limits.max_rows = 0;
-  options.limits.max_steps = 20;
-  EXPECT_EQ(IneqEvaluate(db, q, options).status().code(),
+  ctx.limits.max_rows = 0;
+  ctx.limits.max_steps = 20;
+  EXPECT_EQ(IneqEvaluate(db, q, ctx).status().code(),
             StatusCode::kResourceExhausted);
-  options.limits.max_steps = 0;
-  EXPECT_TRUE(IneqEvaluate(db, q, options).ok());
+  ctx.limits.max_steps = 0;
+  EXPECT_TRUE(IneqEvaluate(db, q, ctx).ok());
 }
 
 TEST(IneqTest, PlanTextRendersLoweredDag) {
@@ -461,7 +463,7 @@ TEST(IneqTest, DeepTreeCrossSubtreeInequalities) {
                .ValueOrDie();
   ASSERT_TRUE(q.IsAcyclic());
   IneqStats stats;
-  auto fpt = IneqEvaluate(db, q, Certified(), &stats).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, Certified(), &stats).ValueOrDie();
   EXPECT_EQ(stats.k, 3);
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive));

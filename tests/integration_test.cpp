@@ -28,12 +28,13 @@ TEST_P(ThreeWayAgreementTest, EngineIneqNaiveAgree) {
   q.head = {Term::Var(0)};
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
-  EngineOptions eo;
-  eo.inequality = certified;
-  Engine engine(db, eo);
+  Engine engine(db);
 
   auto via_engine = engine.Run(q).ValueOrDie();
-  auto via_ineq = IneqEvaluate(db, q, certified).ValueOrDie();
+  // The engine's automatic driver certifies its family on these small
+  // domains, so its answer is exact like the certified evaluator's.
+  EXPECT_TRUE(engine.last_stats().ineq.certified) << q.ToString();
+  auto via_ineq = IneqEvaluate(db, q, {}, certified).ValueOrDie();
   auto via_naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(via_engine.EqualsAsSet(via_naive)) << q.ToString();
   EXPECT_TRUE(via_ineq.EqualsAsSet(via_naive)) << q.ToString();
@@ -114,8 +115,8 @@ TEST_P(DecisionConsistencyTest, NonemptyIffAnswersExist) {
 
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
-  auto fpt_full = IneqEvaluate(db, boolean, certified).ValueOrDie();
-  EXPECT_EQ(IneqNonempty(db, boolean, certified).ValueOrDie(),
+  auto fpt_full = IneqEvaluate(db, boolean, {}, certified).ValueOrDie();
+  EXPECT_EQ(IneqNonempty(db, boolean, {}, certified).ValueOrDie(),
             !fpt_full.empty());
 
   if (!boolean.HasComparisons()) {

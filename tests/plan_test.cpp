@@ -195,9 +195,8 @@ TEST(PlanParityTest, YannakakisScheduleCountsAndAnswers) {
     ConjunctiveQuery q = RandomAcyclicNeqQuery(3, 5, 0, seed);
     LegacyStats legacy;
     auto reference = LegacyYannakakis(db, q, &legacy).ValueOrDie();
-    AcyclicStats stats;
     PlanStats plan_stats;
-    auto planned = AcyclicEvaluate(db, q, {}, &stats, &plan_stats).ValueOrDie();
+    auto planned = AcyclicEvaluate(db, q, {}, &plan_stats).ValueOrDie();
     EXPECT_TRUE(planned.EqualsAsSet(reference)) << "seed=" << seed;
     if (!reference.empty()) {
       // Nonempty runs execute the full schedule: counts must be identical
@@ -206,9 +205,6 @@ TEST(PlanParityTest, YannakakisScheduleCountsAndAnswers) {
       EXPECT_EQ(plan_stats.joins, legacy.joins) << "seed=" << seed;
       EXPECT_EQ(plan_stats.semijoins, 2 * (q.body.size() - 1));
       EXPECT_EQ(plan_stats.joins, q.body.size() - 1);
-      // The deprecated AcyclicStats mirror agrees with PlanStats.
-      EXPECT_EQ(stats.semijoins, plan_stats.semijoins);
-      EXPECT_EQ(stats.joins, plan_stats.joins);
     }
   }
 }
@@ -222,8 +218,7 @@ TEST(PlanParityTest, EvalTestQueriesKeepTheirCounts) {
   auto reference = LegacyYannakakis(db, q, &legacy).ValueOrDie();
   ASSERT_FALSE(reference.empty());
   PlanStats plan_stats;
-  auto planned =
-      AcyclicEvaluate(db, q, {}, nullptr, &plan_stats).ValueOrDie();
+  auto planned = AcyclicEvaluate(db, q, {}, &plan_stats).ValueOrDie();
   EXPECT_TRUE(planned.EqualsAsSet(reference));
   EXPECT_EQ(plan_stats.semijoins, legacy.semijoins);
   EXPECT_EQ(plan_stats.joins, legacy.joins);
@@ -233,10 +228,10 @@ TEST(PlanParityTest, FullReducerAblationMatches) {
   Database db = GraphDb(GnpRandom(10, 0.4, 5));
   auto q = ParseConjunctive("ans(a, c) :- E(a,b), E(b,c), E(c,d).")
                .ValueOrDie();
-  AcyclicOptions no_reducer;
+  EvalContext no_reducer;
   no_reducer.full_reducer = false;
   PlanStats ps;
-  auto out = AcyclicEvaluate(db, q, no_reducer, nullptr, &ps).ValueOrDie();
+  auto out = AcyclicEvaluate(db, q, no_reducer, &ps).ValueOrDie();
   EXPECT_EQ(ps.semijoins, 0u);  // the reducer passes are gone from the plan
   EXPECT_EQ(ps.joins, q.body.size() - 1);
   auto reduced = AcyclicEvaluate(db, q).ValueOrDie();
@@ -335,25 +330,20 @@ TEST(PlanExecutorTest, ExecutedPlanRenderShowsActuals) {
 // Unified resource limits.
 // ---------------------------------------------------------------------------
 
-TEST(ResourceLimitsTest, StepLimitThroughNaiveOptions) {
+TEST(ResourceLimitsTest, StepLimitThroughNaiveEvaluator) {
   Database db = GraphDb(CompleteGraph(20));
   auto q = ParseConjunctive("ans(a, d) :- E(a,b), E(b,c), E(c,d).")
                .ValueOrDie();
-  NaiveOptions limited;
+  EvalContext limited;
   limited.limits.max_steps = 50;
   EXPECT_EQ(NaiveEvaluateCq(db, q, limited).status().code(),
             StatusCode::kResourceExhausted);
-  // The deprecated alias still works when the unified field is unset.
-  NaiveOptions legacy;
-  legacy.max_steps = 50;
-  EXPECT_EQ(NaiveEvaluateCq(db, q, legacy).status().code(),
-            StatusCode::kResourceExhausted);
 }
 
-TEST(ResourceLimitsTest, RowLimitThroughAcyclicOptions) {
+TEST(ResourceLimitsTest, RowLimitThroughAcyclicEvaluator) {
   Database db = GraphDb(CompleteGraph(30));
   auto q = ParseConjunctive("ans(a, c) :- E(a, b), E(b, c).").ValueOrDie();
-  AcyclicOptions tight;
+  EvalContext tight;
   tight.limits.max_rows = 100;
   EXPECT_EQ(AcyclicEvaluate(db, q, tight).status().code(),
             StatusCode::kResourceExhausted);
@@ -396,15 +386,15 @@ TEST(UcqPlanTest, DuplicateDisjunctsAreDeduped) {
 }
 
 TEST(UcqPlanTest, LimitsReachAcyclicDisjuncts) {
-  // Before the unification the acyclic path dropped UcqOptions entirely; a
-  // row guard must now abort the oversized disjunct.
+  // Before the unification the acyclic path dropped the UCQ limits
+  // entirely; a row guard must now abort the oversized disjunct.
   Database db;
   RelId a = db.AddRelation("A", 1).ValueOrDie();
   for (Value v = 0; v < 200; ++v) db.relation(a).Add({v});
   auto q = ParsePositive("ans(x) := A(x) or A(x).").ValueOrDie();
-  UcqOptions options;
-  options.limits.max_rows = 10;
-  EXPECT_EQ(EvaluatePositive(db, q, options).status().code(),
+  EvalContext ctx;
+  ctx.limits.max_rows = 10;
+  EXPECT_EQ(EvaluatePositive(db, q, ctx).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -431,7 +421,8 @@ TEST(DatalogPlanTest, RulePlansAreReusedAcrossIterations) {
   for (Value v = 0; v < 30; ++v) db.relation(e).Add({v, v + 1});
   DatalogStats stats;
   auto out =
-      EvaluateDatalog(db, TransitiveClosureProgram(), {}, &stats).ValueOrDie();
+      EvaluateDatalog(db, TransitiveClosureProgram(), {}, {}, &stats)
+          .ValueOrDie();
   EXPECT_EQ(out.size(), 30u * 31u / 2u);
   // Three variants ever fire: the EDB-only rule at round 0, the recursive
   // rule at round 0 (the base rule's tuples are already in the IDB by then),
@@ -488,7 +479,6 @@ TEST(EnginePlanTest, LastStatsCarryPlanCounters) {
   ASSERT_TRUE(engine.RunText("ans(a, c) :- E(a, b), E(b, c).").ok());
   EXPECT_EQ(engine.last_stats().plan.joins, 1u);
   EXPECT_EQ(engine.last_stats().plan.semijoins, 2u);
-  EXPECT_EQ(engine.last_stats().acyclic.joins, 1u);  // legacy mirror
   ASSERT_TRUE(engine
                   .RunText(
                       "tc(x, y) :- E(x, y).\n"

@@ -72,7 +72,7 @@ TEST(RobustnessTest, ExtremeValuesSurviveHashingAndJoins) {
                .ValueOrDie();
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
-  auto fpt = IneqEvaluate(db, q, certified).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, certified).ValueOrDie();
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive));
 }
@@ -123,16 +123,15 @@ TEST(RobustnessTest, ParserFuzzMutations) {
 TEST(RobustnessTest, RowLimitsSurfaceAsResourceExhausted) {
   Database db = GraphDatabase(CompleteGraph(40));
   auto q = ParseConjunctive("ans(a, c) :- E(a, b), E(b, c).").ValueOrDie();
-  AcyclicOptions tight;
-  tight.max_rows = 100;
+  EvalContext tight;
+  tight.limits.max_rows = 100;
   EXPECT_EQ(AcyclicEvaluate(db, q, tight).status().code(),
             StatusCode::kResourceExhausted);
   IneqOptions itight;
-  itight.max_rows = 100;
   itight.driver = IneqOptions::Driver::kMonteCarlo;
   auto q2 = ParseConjunctive("ans(a, c) :- E(a, b), E(b, c), a != c.")
                 .ValueOrDie();
-  EXPECT_EQ(IneqEvaluate(db, q2, itight).status().code(),
+  EXPECT_EQ(IneqEvaluate(db, q2, tight, itight).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -144,7 +143,7 @@ TEST(RobustnessTest, CertifiedDriverFailsCleanlyOnHugeDomain) {
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
   certified.certified_max_subsets = 1000;
-  auto result = IneqNonempty(db, q, certified);
+  auto result = IneqNonempty(db, q, {}, certified);
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   }
@@ -206,7 +205,7 @@ TEST(RobustnessTest, DuplicateAtomsAndComparisons) {
                .ValueOrDie();
   IneqOptions certified;
   certified.driver = IneqOptions::Driver::kCertified;
-  auto fpt = IneqEvaluate(db, q, certified).ValueOrDie();
+  auto fpt = IneqEvaluate(db, q, {}, certified).ValueOrDie();
   auto naive = NaiveEvaluateCq(db, q).ValueOrDie();
   EXPECT_TRUE(fpt.EqualsAsSet(naive));
 }
@@ -230,7 +229,8 @@ TEST(RobustnessTest, DatalogDeepRecursionTerminates) {
   for (Value v = 0; v < 200; ++v) db.relation(e).Add({v, v + 1});
   DatalogStats stats;
   auto out =
-      EvaluateDatalog(db, TransitiveClosureProgram(), {}, &stats).ValueOrDie();
+      EvaluateDatalog(db, TransitiveClosureProgram(), {}, {}, &stats)
+          .ValueOrDie();
   EXPECT_EQ(out.size(), 200u * 201u / 2u);
   EXPECT_GT(stats.iterations, 2u);
 }

@@ -1,8 +1,9 @@
 // Worst-case-optimal multiway joins: the leapfrog kernel, the sorted-trie
 // cache, generalized hypertree decompositions, the planner's WCOJ route
 // (differential against the binary plans and the backtracking oracle, at
-// several thread counts), fault injection in the multiway operator, and the
-// hardened active-domain (FO) evaluator.
+// several thread counts), fault injection in the multiway operator, the
+// planner switches reaching every route, and the hardened active-domain
+// (FO) evaluator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "common/fault_injection.hpp"
 #include "core/engine.hpp"
 #include "eval/naive.hpp"
+#include "eval/ucq.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/hypertree.hpp"
 #include "query/parser.hpp"
@@ -288,6 +290,62 @@ TEST(WcojPlanCacheTest, WcojFlagDiscriminatesCacheEntries) {
   auto binary_answer = engine.RunText(text).ValueOrDie();
   EXPECT_EQ(engine.last_stats().plan.multiway_joins, 0u);
   EXPECT_TRUE(binary_answer.data() == wcoj_answer.data());
+}
+
+// ---------------------------------------------------------------------------
+// The planner switches reach every route through the one per-query context:
+// tuple CQs, UCQ disjuncts, counting queries and Datalog rule bodies.
+// ---------------------------------------------------------------------------
+
+TEST(WcojKnobTest, WcojOffReachesEveryRoute) {
+  Database db = GraphDatabase(GnpRandom(12, 0.35, 5));
+  struct Case {
+    const char* text;
+    bool multiway_when_on;  // the wcoj route applies to this shape
+  };
+  const Case cases[] = {
+      {"ans(x, y, z) :- E(x, y), E(y, z), E(z, x).", true},
+      {"ans(x) := exists y, z . ((E(x, y) and E(y, z) and E(z, x)) or "
+       "E(x, x)).",
+       true},
+      {"COUNT(*) :- E(x, y), E(y, z), E(z, x).", true},
+      // Rule bodies are binary left-deep plans either way.
+      {"tc(x, y) :- E(x, y).\ntc(x, y) :- E(x, z), tc(z, y).\n", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    Engine on(db);
+    EngineOptions off_options;
+    off_options.wcoj = false;
+    Engine off(db, off_options);
+    auto on_answer = on.RunText(c.text);
+    auto off_answer = off.RunText(c.text);
+    ASSERT_TRUE(on_answer.ok()) << on_answer.status();
+    ASSERT_TRUE(off_answer.ok()) << off_answer.status();
+    EXPECT_GT(on_answer.value().size(), 0u);
+    EXPECT_TRUE(off_answer.value().data() == on_answer.value().data());
+    EXPECT_EQ(off.last_stats().plan.multiway_joins, 0u);
+    if (c.multiway_when_on) {
+      EXPECT_GT(on.last_stats().plan.multiway_joins, 0u);
+    }
+  }
+}
+
+TEST(WcojKnobTest, FullReducerOffReachesAcyclicUcqDisjuncts) {
+  Database db = GraphDatabase(GnpRandom(12, 0.35, 5));
+  auto q = ParsePositive(
+               "ans(x, z) := exists y . ((E(x, y) and E(y, z)) or E(z, x)).")
+               .ValueOrDie();
+  UcqStats reduced_stats;
+  auto reduced = EvaluatePositive(db, q, {}, &reduced_stats).ValueOrDie();
+  EvalContext no_reducer;
+  no_reducer.full_reducer = false;
+  UcqStats stats;
+  auto out = EvaluatePositive(db, q, no_reducer, &stats).ValueOrDie();
+  EXPECT_EQ(stats.acyclic_disjuncts, 2u);
+  EXPECT_GT(reduced_stats.plan.semijoins, 0u);
+  EXPECT_EQ(stats.plan.semijoins, 0u);  // no disjunct ran a reducer pass
+  EXPECT_TRUE(out.data() == reduced.data());
 }
 
 // ---------------------------------------------------------------------------
