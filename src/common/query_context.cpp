@@ -45,6 +45,7 @@ void QueryContext::Reset() {
 }
 
 Status QueryContext::Check() const {
+  if (parent_ != nullptr) PQ_RETURN_NOT_OK(parent_->Check());
   if (cancelled_.load(std::memory_order_relaxed)) {
     return Status::Cancelled("query cancelled");
   }
@@ -62,6 +63,7 @@ Status QueryContext::Check() const {
 }
 
 bool QueryContext::Aborted() const {
+  if (parent_ != nullptr && parent_->Aborted()) return true;
   if (cancelled_.load(std::memory_order_relaxed)) return true;
   int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
   if (deadline != 0 && NowNs() >= deadline) return true;

@@ -4,9 +4,10 @@
 //
 // Design
 // ------
-// The engine arms one QueryContext per Run (from EngineOptions::limits, or
-// the caller supplies a long-lived token through EngineOptions::query_ctx to
-// cancel from another thread) and threads a raw pointer through
+// The engine arms one QueryContext per Run from EngineOptions::limits; a
+// caller may also supply a long-lived token through EngineOptions::query_ctx
+// to cancel from another thread, which the per-run context polls as its
+// parent. The engine threads a raw pointer through
 // RuntimeOptions into the plan executor, the morsel loops, the Datalog
 // fixpoint, the UCQ disjunct fan-out, and the Theorem 2 coloring loop. Each
 // of those polls Check() at its natural quantum — per operator, per morsel,
@@ -103,7 +104,11 @@ class ScopedMemoryAccounting {
 /// Cancel() and Check() are thread-safe at any time.
 class QueryContext {
  public:
-  QueryContext() = default;
+  /// `parent` (optional, must outlive this context) is polled by Check()
+  /// and Aborted() before this context's own state: a per-run context
+  /// armed from limits still stops when the caller's token is cancelled.
+  explicit QueryContext(const QueryContext* parent = nullptr)
+      : parent_(parent) {}
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
 
@@ -125,8 +130,8 @@ class QueryContext {
   /// Clears cancellation, the deadline, and the memory budget.
   void Reset();
 
-  /// First tripped condition as a Status: kCancelled, then
-  /// kDeadlineExceeded, then ResourceExhausted (memory). OK otherwise.
+  /// First tripped condition as a Status: the parent's, then kCancelled,
+  /// then kDeadlineExceeded, then ResourceExhausted (memory). OK otherwise.
   Status Check() const;
 
   /// Cheap polling form of Check() for loops that cannot return a Status
@@ -137,6 +142,7 @@ class QueryContext {
   const std::shared_ptr<MemoryAccountant>& memory() const { return memory_; }
 
  private:
+  const QueryContext* const parent_;
   std::atomic<bool> cancelled_{false};
   /// Deadline as steady-clock nanoseconds-since-epoch; 0 = unarmed.
   std::atomic<int64_t> deadline_ns_{0};

@@ -185,17 +185,23 @@ std::shared_ptr<TaskScheduler> Engine::AcquireScheduler() const {
 QueryContext* Engine::ArmQueryContext(QueryRun* run) const {
   const uint64_t wall = options_.limits.max_wall_ms;
   const uint64_t bytes = options_.limits.max_bytes;
-  QueryContext* qc = options_.query_ctx;
-  if (qc == nullptr) {
-    if (wall == 0 && bytes == 0) return nullptr;
-    run->own_ctx = std::make_unique<QueryContext>();
-    qc = run->own_ctx.get();
-  }
-  // A caller's context keeps its cancellation state: sticky until the
-  // caller Reset()s it.
-  if (wall != 0) qc->ArmDeadline(wall);
-  if (bytes != 0) qc->ArmMemory(bytes);
-  return qc;
+  // Without limits to arm, the caller's token (or nothing) is polled as is:
+  // it is only read, so concurrent Runs may share it.
+  if (wall == 0 && bytes == 0) return options_.query_ctx;
+  // Limits arm a context of this Run's own, which also polls the caller's
+  // token: one Cancel() there still stops every Run, and no Run writes to
+  // state another Run reads.
+  run->own_ctx = std::make_unique<QueryContext>(options_.query_ctx);
+  if (wall != 0) run->own_ctx->ArmDeadline(wall);
+  if (bytes != 0) run->own_ctx->ArmMemory(bytes);
+  return run->own_ctx.get();
+}
+
+PlannerOptions Engine::PlannerSwitches() const {
+  PlannerOptions planner;
+  planner.vectorize = options_.vectorize;
+  planner.wcoj = options_.wcoj;
+  return planner;
 }
 
 template <typename Route>
@@ -471,15 +477,15 @@ Result<std::string> Engine::ExplainText(const std::string& text) const {
   switch (SniffKind(text)) {
     case TextKind::kFormula: {
       PQ_ASSIGN_OR_RETURN(FirstOrderQuery q, ParseFirstOrder(text, nullptr));
-      return ExplainFirstOrder(q, db_);
+      return ExplainFirstOrder(q, db_, PlannerSwitches());
     }
     case TextKind::kDatalogProgram: {
       PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, nullptr));
-      return ExplainDatalog(p, db_);
+      return ExplainDatalog(p, db_, PlannerSwitches());
     }
     case TextKind::kRule: {
       PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, nullptr));
-      return ExplainConjunctive(q, db_);
+      return ExplainConjunctive(q, db_, PlannerSwitches());
     }
   }
   return Status::Internal("unreachable");
@@ -516,15 +522,15 @@ Result<std::string> Engine::PlanText(const std::string& text,
       }
       PQ_ASSIGN_OR_RETURN(PositiveQuery pq,
                           PositiveQuery::FromFirstOrder(std::move(q)));
-      return RenderPositivePlan(*db_, pq);
+      return RenderPositivePlan(*db_, pq, PlannerSwitches());
     }
     case TextKind::kDatalogProgram: {
       PQ_ASSIGN_OR_RETURN(DatalogProgram p, ParseDatalog(text, dict));
-      return RenderDatalogPlan(*db_, p);
+      return RenderDatalogPlan(*db_, p, PlannerSwitches());
     }
     case TextKind::kRule: {
       PQ_ASSIGN_OR_RETURN(ConjunctiveQuery q, ParseConjunctive(text, dict));
-      return RenderConjunctivePlan(*db_, q);
+      return RenderConjunctivePlan(*db_, q, PlannerSwitches());
     }
   }
   return Status::Internal("unreachable");

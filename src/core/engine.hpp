@@ -73,14 +73,13 @@ struct EngineOptions {
   /// LRU capacity of the plan cache in entries (0 = unlimited). Applied on
   /// the next Run; shrinking evicts immediately.
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
-  /// Caller-owned cancellation/abort token. When set, every Run arms THIS
-  /// context (deadline/memory from `limits`) instead of a per-query one, so
-  /// another thread may Cancel() it mid-query. The caller controls its
-  /// lifecycle: cancellation is sticky until QueryContext::Reset(). Shared
-  /// by design: concurrent Runs on one engine all poll this one context,
-  /// so one Cancel() stops them all. Each Run re-arms it without
-  /// synchronization, so concurrent Runs may share it only while `limits`
-  /// arm neither a deadline nor a byte budget.
+  /// Caller-owned cancellation/abort token: another thread may Cancel() it
+  /// mid-query, and every Run polls it. The engine never writes to it: when
+  /// `limits` arm a deadline or byte budget, each Run arms a context of its
+  /// own that polls this token as well. Shared by design: concurrent Runs
+  /// on one engine all poll it, so one Cancel() stops them all. The caller
+  /// controls its lifecycle: cancellation is sticky until
+  /// QueryContext::Reset().
   QueryContext* query_ctx = nullptr;
   /// Master switch for vectorized columnar execution on every plan-routed
   /// route (planners place Materialize boundaries over eligible
@@ -244,10 +243,15 @@ class Engine {
   /// from under it.
   std::shared_ptr<TaskScheduler> AcquireScheduler() const;
 
-  /// The QueryContext for one query: the caller's (options().query_ctx) if
-  /// set, else a fresh one owned by `run` when `limits` arms a deadline or
-  /// memory budget, else null (unhardened).
+  /// The QueryContext for one query: a fresh one owned by `run` when
+  /// `limits` arms a deadline or memory budget (polling the caller's
+  /// options().query_ctx too), else the caller's token, else null
+  /// (unhardened).
   QueryContext* ArmQueryContext(QueryRun* run) const;
+
+  /// The planner switches every route plans under (vectorize, wcoj), for
+  /// the plan renders.
+  PlannerOptions PlannerSwitches() const;
 
   /// End-of-query bookkeeping shared by every route: records the wall clock
   /// and abort reason into the record's stats, and updates/scrapes the

@@ -147,21 +147,32 @@ Result<NamedRelation> AtomToRelation(const Database& db, const Atom& atom,
 
 Relation BindingsToAnswers(const NamedRelation& bindings,
                            const std::vector<Term>& head, bool sort_output) {
-  Relation out(head.size());
-  std::vector<int> cols(head.size(), -1);
-  for (size_t i = 0; i < head.size(); ++i) {
+  const size_t arity = head.size();
+  const size_t n = bindings.size();
+  const Relation& in = bindings.rel();
+  std::vector<int> cols(arity, -1);
+  bool identity = in.arity() == arity;
+  for (size_t i = 0; i < arity; ++i) {
     if (head[i].is_var()) {
       cols[i] = bindings.ColumnOf(head[i].var());
       PQ_CHECK(cols[i] >= 0, "BindingsToAnswers: head variable not bound");
     }
+    identity &= cols[i] == static_cast<int>(i);
   }
-  ValueVec row(head.size());
-  for (size_t r = 0; r < bindings.size(); ++r) {
-    for (size_t i = 0; i < head.size(); ++i) {
-      row[i] = head[i].is_var() ? bindings.rel().At(r, cols[i])
-                                : head[i].value();
+  Relation out(arity);
+  if (arity == 0) {
+    for (size_t r = 0; r < n; ++r) out.AddEmptyRow();
+  } else if (identity) {
+    out = in;  // the head reads the bindings as they are: a zero-copy view
+  } else if (n > 0) {
+    std::vector<Value> data(n * arity);
+    Value* dst = data.data();
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t i = 0; i < arity; ++i) {
+        *dst++ = cols[i] >= 0 ? in.At(r, cols[i]) : head[i].value();
+      }
     }
-    out.Add(row);
+    out = Relation(arity, std::move(data));
   }
   if (sort_output) out.SortAndDedup();
   return out;

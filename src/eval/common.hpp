@@ -33,8 +33,10 @@ Result<NamedRelation> AtomToRelation(const Database& db, const Atom& atom,
 /// covering every head variable) into answer tuples through `head`:
 /// variables are looked up, constants copied. With `sort_output` true (the
 /// default, used for user-facing answers) the result is sorted and
-/// deduplicated; with false it may contain duplicates — fixpoint-internal
-/// callers deduplicate downstream and sort once at the end.
+/// deduplicated; with false it may contain duplicates — callers that
+/// gather several bindings (fixpoint rounds, Theorem 2 colorings) append
+/// them and sort once at the end. When the head reads the bindings' columns
+/// in order, the unsorted result is a zero-copy view of the bindings.
 Relation BindingsToAnswers(const NamedRelation& bindings,
                            const std::vector<Term>& head,
                            bool sort_output = true);

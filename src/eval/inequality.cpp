@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <sstream>
 
 #include "common/fault_injection.hpp"
@@ -272,17 +271,17 @@ Result<Plan> BuildFormulaPlan(const Database& db, const ConjunctiveQuery& q,
 // V1 variables), plus the formula constants in formula mode. This is the
 // ground set the certified family must cover.
 std::vector<Value> GroundSet(const Plan& p) {
-  std::set<Value> ground(p.formula_constants.begin(),
-                         p.formula_constants.end());
+  std::vector<Value> ground(p.formula_constants.begin(),
+                            p.formula_constants.end());
   for (const NamedRelation& s : p.base) {
     for (size_t i = 0; i < s.attrs().size(); ++i) {
       if (!IsV1(p, s.attrs()[i])) continue;
-      for (size_t r = 0; r < s.size(); ++r) {
-        ground.insert(s.rel().At(r, i));
-      }
+      for (size_t r = 0; r < s.size(); ++r) ground.push_back(s.rel().At(r, i));
     }
   }
-  return std::vector<Value>(ground.begin(), ground.end());
+  std::sort(ground.begin(), ground.end());
+  ground.erase(std::unique(ground.begin(), ground.end()), ground.end());
+  return ground;
 }
 
 Result<ColoringFamily> MakeFamily(const Plan& p, const IneqOptions& options,
@@ -762,8 +761,8 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
       if (filtered.empty()) continue;
       inputs.back() = std::move(filtered);
       PQ_ASSIGN_OR_RETURN(NamedRelation bindings, session.Run(*c.eval_root));
-      Relation qh = BindingsToAnswers(bindings, c.query.head);
-      for (size_t r = 0; r < qh.size(); ++r) answers.Add(qh.Row(r));
+      answers.Append(BindingsToAnswers(bindings, c.query.head,
+                                       /*sort_output=*/false));
     } else {
       std::vector<const NamedRelation*> ptrs;
       ptrs.reserve(inputs.size());
@@ -772,8 +771,8 @@ Result<Relation> PlanDriveEvaluate(const Database& db, IneqCompiled& c,
       PQ_ASSIGN_OR_RETURN(NamedRelation bindings,
                           ExecutePlan(*c.eval_root, exec));
       ++colorings_run;
-      Relation qh = BindingsToAnswers(bindings, c.query.head);
-      for (size_t r = 0; r < qh.size(); ++r) answers.Add(qh.Row(r));
+      answers.Append(BindingsToAnswers(bindings, c.query.head,
+                                       /*sort_output=*/false));
     }
   }
   // One compile, `colorings_run` executions: every re-binding past the

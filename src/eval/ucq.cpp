@@ -140,9 +140,7 @@ Result<Relation> EvaluatePositive(const Database& db, const PositiveQuery& q,
   PQ_ASSIGN_OR_RETURN(std::vector<Relation> parts,
                       EvaluateAllDisjuncts(db, cqs, ctx, stats));
   Relation answers(q.fo().head.size());
-  for (const Relation& part : parts) {
-    for (size_t r = 0; r < part.size(); ++r) answers.Add(part.Row(r));
-  }
+  for (const Relation& part : parts) answers.Append(part);
   answers.SortAndDedup();
   return answers;
 }
@@ -257,9 +255,7 @@ Result<Relation> EvaluatePositiveCount(const Database& db,
     return out;
   }
   Relation all(free_vars.size());
-  for (const Relation& part : parts) {
-    for (size_t r = 0; r < part.size(); ++r) all.Add(part.Row(r));
-  }
+  for (const Relation& part : parts) all.Append(part);
   all.SortAndDedup();
   return GroupCountRows(all, gcols);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/combinatorics.hpp"
 #include "common/rng.hpp"
@@ -27,13 +28,9 @@ Result<ColoringFamily> ColoringFamily::Certified(
     uint64_t max_subsets, size_t max_members) {
   PQ_CHECK(k >= 0, "Certified: negative k");
   int n = static_cast<int>(ground.size());
-  if (k <= 1 || n <= k) {
-    // One member suffices: with n <= k we may still need injectivity, which a
-    // single hash seed might miss, so for 1 < n <= k fall through to the
-    // search below over all (= one) subsets.
-    if (k <= 1) {
-      return ColoringFamily(k, {0xabcdef1234567890ull}, /*certified=*/true);
-    }
+  if (k <= 1) {
+    // Every member is injective on sets of at most one value.
+    return ColoringFamily(k, {0xabcdef1234567890ull}, /*certified=*/true);
   }
   uint64_t num_subsets = Binomial(static_cast<uint64_t>(n),
                                   static_cast<uint64_t>(k));
@@ -42,47 +39,68 @@ Result<ColoringFamily> ColoringFamily::Certified(
         "Certified coloring family: C(", n, ",", k, ") = ", num_subsets,
         " exceeds limit ", max_subsets));
   }
-  // Collect all k-subsets (by ground indices), then cover them greedily with
-  // seeded random members.
-  std::vector<std::vector<int>> uncovered;
-  uncovered.reserve(num_subsets);
-  ForEachKSubset(n, k, [&](const std::vector<int>& subset) {
-    uncovered.push_back(subset);
-    return true;
-  });
-
+  // Cover the k-subsets (as ground indices, in lexicographic order)
+  // greedily: probe seeds come from one Rng stream, and a probe joins the
+  // family iff it is injective on some subset no earlier member covered.
+  // Each probe colors the ground set once (`color[g]`). The uncovered
+  // subsets live in one flat array, k indices each, compacted in place; the
+  // first probe runs during the enumeration, so a subset it covers is never
+  // kept.
   Rng rng(seed);
   std::vector<uint64_t> seeds;
-  std::vector<Value> colors(k);
-  while (!uncovered.empty()) {
-    if (seeds.size() >= max_members) {
-      return Status::ResourceExhausted(internal::StrCat(
-          "Certified coloring family: exceeded ", max_members, " members with ",
-          uncovered.size(), " subsets uncovered"));
+  std::vector<Value> color(n);
+  auto probe = [&] {
+    const uint64_t s = rng.Next();
+    for (int g = 0; g < n; ++g) color[g] = HashColor(s, k, ground[g]);
+    return s;
+  };
+  // Copies `subset` to `dst` (at or before it) and returns 1 iff the probe
+  // leaves it uncovered; the caller advances `dst` by that. The verdicts
+  // are coin flips, so the compaction avoids a branch on them.
+  auto keep = [&](const int* subset, int* dst) {
+    bool collides = false;
+    for (int j = 1; j < k; ++j) {
+      for (int l = 0; l < j; ++l) {
+        collides |= color[subset[l]] == color[subset[j]];
+      }
     }
-    uint64_t s = rng.Next();
-    ColoringFamily probe(k, {s}, false);
+    for (int j = 0; j < k; ++j) dst[j] = subset[j];
+    return static_cast<size_t>(collides);
+  };
+  auto too_many = [&](uint64_t uncovered) {
+    return Status::ResourceExhausted(internal::StrCat(
+        "Certified coloring family: exceeded ", max_members, " members with ",
+        uncovered, " subsets uncovered"));
+  };
+  std::vector<int> uncovered;
+  if (num_subsets > 0) {
+    if (max_members == 0) return too_many(num_subsets);
+    const uint64_t s = probe();
+    uncovered.resize(num_subsets * k);
+    std::vector<int> subset(k);
+    std::iota(subset.begin(), subset.end(), 0);
     size_t kept = 0;
-    for (size_t i = 0; i < uncovered.size(); ++i) {
-      bool injective = true;
-      for (int j = 0; j < k; ++j) {
-        colors[j] = probe.Color(0, ground[uncovered[i][j]]);
-        for (int l = 0; l < j; ++l) {
-          if (colors[l] == colors[j]) {
-            injective = false;
-            break;
-          }
-        }
-        if (!injective) break;
-      }
-      if (!injective) {
-        if (kept != i) uncovered[kept] = std::move(uncovered[i]);
-        ++kept;
-      }
+    for (;;) {
+      kept += keep(subset.data(), uncovered.data() + kept * k);
+      int i = k - 1;  // advance to the next subset in lexicographic order
+      while (i >= 0 && subset[i] == n - k + i) --i;
+      if (i < 0) break;
+      ++subset[i];
+      for (int j = i + 1; j < k; ++j) subset[j] = subset[j - 1] + 1;
     }
-    bool useful = kept < uncovered.size();
-    uncovered.resize(kept);
-    if (useful) seeds.push_back(s);
+    if (kept < num_subsets) seeds.push_back(s);
+    uncovered.resize(kept * k);
+  }
+  while (!uncovered.empty()) {
+    const size_t remaining = uncovered.size() / k;
+    if (seeds.size() >= max_members) return too_many(remaining);
+    const uint64_t s = probe();
+    size_t kept = 0;
+    for (size_t i = 0; i < remaining; ++i) {
+      kept += keep(uncovered.data() + i * k, uncovered.data() + kept * k);
+    }
+    if (kept < remaining) seeds.push_back(s);
+    uncovered.resize(kept * k);
   }
   if (seeds.empty()) seeds.push_back(rng.Next());
   return ColoringFamily(k, std::move(seeds), /*certified=*/true);

@@ -17,6 +17,13 @@
 //    the paper's g(v) = 2^{O(v log v)} budget; the certification makes the
 //    union ∪_h Q_h(d) provably exact. See DESIGN.md §2 for the substitution
 //    rationale.
+//
+//    Certification enumerates all C(|ground|, k) subsets of the ground set:
+//    this is the n^k piece of the construction, and IneqOptions::
+//    certified_max_subsets bounds it (beyond it the default driver falls back
+//    to the Monte Carlo family). The construction allocates nothing per subset:
+//    the uncovered subsets live in one flat index array, and each probe
+//    colors the ground set once into a table indexed by ground position.
 #ifndef PARAQUERY_HASHING_COLORING_H_
 #define PARAQUERY_HASHING_COLORING_H_
 
@@ -52,12 +59,11 @@ class ColoringFamily {
 
   /// Color of `v` under member `member`, in {1..k} (always 1 when k <= 1).
   Value Color(size_t member, Value v) const {
-    if (k_ <= 1) return 1;
-    return 1 + static_cast<Value>(HashValue(static_cast<Value>(
-                                      static_cast<uint64_t>(v) ^
-                                      seeds_[member])) %
-                                  static_cast<uint64_t>(k_));
+    return HashColor(seeds_[member], k_, v);
   }
+
+  /// Member seed `member` (the whole member: Color depends only on it and k).
+  uint64_t seed(size_t member) const { return seeds_[member]; }
 
   /// True if `member` assigns pairwise-distinct colors to `values`.
   bool InjectiveOn(size_t member, const std::vector<Value>& values) const;
@@ -67,6 +73,15 @@ class ColoringFamily {
   bool IsPerfectOn(const std::vector<Value>& ground) const;
 
  private:
+  /// The color of `v` under the member with seed `seed`, in {1..k}.
+  static Value HashColor(uint64_t seed, int k, Value v) {
+    if (k <= 1) return 1;
+    return 1 + static_cast<Value>(
+                   HashValue(static_cast<Value>(static_cast<uint64_t>(v) ^
+                                                seed)) %
+                   static_cast<uint64_t>(k));
+  }
+
   ColoringFamily(int k, std::vector<uint64_t> seeds, bool certified)
       : k_(k), seeds_(std::move(seeds)), certified_(certified) {}
 

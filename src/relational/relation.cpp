@@ -1,6 +1,8 @@
 #include "relational/relation.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 
@@ -44,12 +46,70 @@ void Relation::Add(std::span<const Value> row) {
   Bump();
 }
 
+void Relation::Append(const Relation& other) {
+  PQ_DCHECK(other.arity_ == arity_ && &other != this,
+            "Relation::Append: arity mismatch or self-append");
+  if (other.empty()) return;
+  if (arity_ == 0) {
+    zero_ary_rows_ += other.zero_ary_rows_;
+  } else {
+    std::vector<Value>& values = MutableValues();
+    values.insert(values.end(), other.base_, other.base_ + other.nvalues_);
+    Sync();
+  }
+  sorted_ = false;
+  Bump();
+}
+
 void Relation::AddEmptyRow() {
   PQ_DCHECK(arity_ == 0, "AddEmptyRow requires arity 0");
   ++zero_ary_rows_;
   sorted_ = false;
   Bump();
 }
+
+namespace {
+
+/// Inputs below this many rows sort by comparison: every radix digit pass
+/// pays for a full bucket histogram, whatever the input size.
+constexpr size_t kRadixMinRows = 256;
+constexpr int kDigitBits = 8;
+constexpr size_t kDigitMask = (size_t{1} << kDigitBits) - 1;
+
+/// Stable LSD radix sort of a[0, n) by the low `bits` bits of key(x), in
+/// 8-bit digits, ping-ponging between `a` and `tmp` (both n long). One
+/// sequential pass builds every digit's histogram; digits on which all
+/// elements agree are skipped. Returns whichever buffer holds the result.
+template <typename T, typename Key>
+T* RadixSort(T* a, T* tmp, size_t n, int bits, Key key) {
+  const int digits = (bits + kDigitBits - 1) / kDigitBits;
+  if (n == 0 || digits == 0) return a;
+  std::vector<size_t> counts(static_cast<size_t>(digits) * (kDigitMask + 1));
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = key(a[i]);
+    for (int d = 0; d < digits; ++d) {
+      ++counts[(d << kDigitBits) + ((k >> (d * kDigitBits)) & kDigitMask)];
+    }
+  }
+  for (int d = 0; d < digits; ++d) {
+    const int shift = d * kDigitBits;
+    size_t* offset = counts.data() + (d << kDigitBits);
+    if (offset[(key(a[0]) >> shift) & kDigitMask] == n) continue;
+    size_t sum = 0;
+    for (size_t b = 0; b <= kDigitMask; ++b) {
+      const size_t c = offset[b];
+      offset[b] = sum;
+      sum += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      tmp[offset[(key(a[i]) >> shift) & kDigitMask]++] = a[i];
+    }
+    std::swap(a, tmp);
+  }
+  return a;
+}
+
+}  // namespace
 
 void Relation::SortAndDedup() {
   if (arity_ == 0) {
@@ -58,26 +118,112 @@ void Relation::SortAndDedup() {
     Bump();
     return;
   }
-  size_t n = size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  const size_t n = size();
+  const size_t arity = arity_;
   const Value* base = base_;
-  size_t arity = arity_;
-  auto cmp = [base, arity](size_t a, size_t b) {
-    return std::lexicographical_compare(base + a * arity, base + (a + 1) * arity,
-                                        base + b * arity, base + (b + 1) * arity);
+  // Column c holds values in [lo, lo + 2^bits); v - lo, taken unsigned,
+  // preserves signed order. A constant column needs no bits. `shift` places
+  // the column in a packed key (column 0 highest).
+  struct ColumnRange {
+    Value lo = 0;
+    Value hi = 0;
+    int bits = 0;
+    int shift = 0;
   };
-  auto eq = [base, arity](size_t a, size_t b) {
-    return std::equal(base + a * arity, base + (a + 1) * arity,
-                      base + b * arity);
-  };
-  std::sort(order.begin(), order.end(), cmp);
-  std::vector<Value> out;
-  out.reserve(block_->values.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0 && eq(order[i], order[i - 1])) continue;
-    out.insert(out.end(), base + order[i] * arity, base + (order[i] + 1) * arity);
+  std::vector<ColumnRange> cols(arity);
+  int total_bits = 0;
+  if (n > 0) {
+    for (size_t c = 0; c < arity; ++c) cols[c].lo = cols[c].hi = base[c];
+    for (size_t r = 1; r < n; ++r) {
+      for (size_t c = 0; c < arity; ++c) {
+        const Value v = base[r * arity + c];
+        cols[c].lo = std::min(cols[c].lo, v);
+        cols[c].hi = std::max(cols[c].hi, v);
+      }
+    }
+    for (size_t c = arity; c-- > 0;) {
+      cols[c].bits = std::bit_width(static_cast<uint64_t>(cols[c].hi) -
+                                    static_cast<uint64_t>(cols[c].lo));
+      cols[c].shift = total_bits;
+      total_bits += cols[c].bits;
+    }
   }
+  auto offset = [&](size_t row, size_t c) {
+    return static_cast<uint64_t>(base[row * arity + c]) -
+           static_cast<uint64_t>(cols[c].lo);
+  };
+  std::vector<Value> out(n * arity);
+  size_t kept = 0;
+  if (total_bits <= 64) {
+    // Packed route: each row becomes one 64-bit key, so key order is row
+    // order and equal keys are equal rows. The keys sit in the top n slots
+    // of `out` (for arity >= 2 the bottom n slots are the radix scratch).
+    // Decoding forward writes row i at or below where key i sat, only after
+    // reading it; for arity 1 it may overwrite key i - 1, so the duplicate
+    // check compares against a copy.
+    uint64_t* keys = reinterpret_cast<uint64_t*>(out.data()) + n * (arity - 1);
+    for (size_t r = 0; r < n; ++r) {
+      uint64_t k = 0;
+      for (size_t c = 0; c < arity; ++c) {
+        if (cols[c].bits > 0) k |= offset(r, c) << cols[c].shift;
+      }
+      keys[r] = k;
+    }
+    if (n < kRadixMinRows) {
+      std::sort(keys, keys + n);
+    } else {
+      std::vector<uint64_t> own_tmp(arity == 1 ? n : 0);
+      uint64_t* tmp = arity == 1 ? own_tmp.data()
+                                 : reinterpret_cast<uint64_t*>(out.data());
+      const uint64_t* sorted =
+          RadixSort(keys, tmp, n, total_bits, [](uint64_t k) { return k; });
+      if (sorted != keys) std::copy(sorted, sorted + n, keys);
+    }
+    Value* dst = out.data();
+    uint64_t prev = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t k = keys[i];
+      if (i > 0 && k == prev) continue;
+      prev = k;
+      for (const ColumnRange& col : cols) {
+        const uint64_t mask =
+            col.bits == 64 ? ~uint64_t{0} : (uint64_t{1} << col.bits) - 1;
+        const uint64_t field = col.bits == 0 ? 0 : (k >> col.shift) & mask;
+        *dst++ = static_cast<Value>(static_cast<uint64_t>(col.lo) + field);
+      }
+      ++kept;
+    }
+  } else {
+    // Wide route (the column ranges need more than 64 bits together): sort
+    // row ids, column by column from the last, then gather. Two 32-bit id
+    // arrays take the space of one 64-bit index.
+    PQ_CHECK(n <= UINT32_MAX, "SortAndDedup: too many rows");
+    std::vector<uint32_t> ids(2 * n);
+    uint32_t* cur = ids.data();
+    uint32_t* other = ids.data() + n;
+    std::iota(cur, cur + n, 0u);
+    if (n < kRadixMinRows) {
+      std::sort(cur, cur + n, [base, arity](uint32_t a, uint32_t b) {
+        return std::lexicographical_compare(
+            base + size_t{a} * arity, base + (size_t{a} + 1) * arity,
+            base + size_t{b} * arity, base + (size_t{b} + 1) * arity);
+      });
+    } else {
+      for (size_t c = arity; c-- > 0;) {
+        uint32_t* sorted = RadixSort(cur, other, n, cols[c].bits,
+                                     [&](uint32_t r) { return offset(r, c); });
+        if (sorted != cur) std::swap(cur, other);
+      }
+    }
+    Value* dst = out.data();
+    for (size_t i = 0; i < n; ++i) {
+      const Value* row = base + size_t{cur[i]} * arity;
+      if (kept > 0 && std::equal(row, row + arity, dst - arity)) continue;
+      dst = std::copy(row, row + arity, dst);
+      ++kept;
+    }
+  }
+  out.resize(kept * arity);
   ReplaceValues(std::move(out));
   sorted_ = true;
   Bump();

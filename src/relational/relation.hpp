@@ -212,6 +212,9 @@ class Relation {
   /// Appends the empty row to an arity-0 relation (sets it "true").
   void AddEmptyRow();
 
+  /// Appends every row of `other` (same arity, not `*this`) in one copy.
+  void Append(const Relation& other);
+
   // Reads go through base_/nvalues_, a cache of the block's buffer pointer
   // and length maintained by every mutator: sharing costs no indirection on
   // the hot paths relative to an owned vector.
@@ -231,7 +234,12 @@ class Relation {
     return arity_ > 0 && block_ == other.block_;
   }
 
-  /// Sorts rows lexicographically and removes duplicates (set semantics).
+  /// Sorts rows lexicographically (signed, column 0 first) and removes
+  /// duplicates (set semantics). Rows whose column ranges pack into 64 bits
+  /// sort as single keys, the rest as row ids column by column; either way
+  /// by an LSD radix sort that skips digits no row varies in, or by
+  /// std::sort below a few hundred rows. Scratch: one output buffer plus at
+  /// most n 64-bit words.
   void SortAndDedup();
 
   /// Removes duplicate rows in one hash pass, keeping the first occurrence

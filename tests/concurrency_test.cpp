@@ -1,10 +1,12 @@
 // Concurrent use of one Engine: threads running mixed routes on a shared
 // const Engine get the answers of solo runs, and each query keeps its own
-// stats, abort context and memory budget. Run under ThreadSanitizer, this
+// stats, abort context and memory budget, while one caller token still
+// cancels them all. Run under ThreadSanitizer, this
 // file is the data-race check for Engine::Run.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <iterator>
 #include <mutex>
 #include <string>
@@ -114,6 +116,106 @@ TEST(ConcurrentRunTest, MemoryBudgetIsPerQuery) {
   EXPECT_EQ(heavy_passed.load(), 0);
   EXPECT_EQ(light_failed.load(), 0);
   EXPECT_GT(light_runs.load(), 0);
+}
+
+TEST(ConcurrentRunTest, SharedTokenWithByteBudget) {
+  // Four threads share one caller token while `limits` arm a byte budget:
+  // each Run arms a context of its own that polls the token, so the heavy
+  // query's budget never reaches the light ones and nothing writes to the
+  // shared token (under TSan, the data-race check for the arming path).
+  Database db;
+  RelId e = db.AddRelation("E", 2).ValueOrDie();
+  for (Value i = 0; i < 30'000; ++i) db.relation(e).Add({i % 1000, i % 997});
+  RelId l = db.AddRelation("L", 1).ValueOrDie();
+  for (Value i = 0; i < 3; ++i) db.relation(l).Add({i});
+  QueryContext token;
+  EngineOptions options;
+  options.query_ctx = &token;
+  options.limits.max_bytes = 4 << 20;
+  const Engine engine(db, options);
+  const char* heavy = "ans(x, z) :- E(x, y), E(y, z).";
+  const char* light = "ans(x) :- L(x).";
+  std::atomic<int> heavy_passed{0};
+  std::atomic<int> light_failed{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < 10; ++i) {
+        if (t == 0) {
+          if (engine.RunText(heavy).status().code() !=
+              StatusCode::kResourceExhausted) {
+            heavy_passed.fetch_add(1);
+          }
+        } else {
+          auto r = engine.RunText(light);
+          if (!r.ok() || r.value().size() != 3) light_failed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(heavy_passed.load(), 0);
+  EXPECT_EQ(light_failed.load(), 0);
+  EXPECT_FALSE(token.cancel_requested());
+  EXPECT_EQ(token.memory(), nullptr);  // the engine never armed the token
+}
+
+TEST(ConcurrentRunTest, CancelStopsEveryInFlightRun) {
+  // Four threads loop a heavy query on one engine whose caller token is
+  // cancelled mid-query. The deadline (never reached) makes every Run arm
+  // its own context, which must still see the caller's Cancel().
+  Database db = GraphDatabase(CompleteGraph(50));
+  const char* heavy = "ans(x, w) :- E(x, y), E(y, z), E(z, w).";
+  QueryContext token;
+  EngineOptions options;
+  options.threads = 2;
+  options.query_ctx = &token;
+  options.limits.max_wall_ms = 600'000;
+  const Engine engine(db, options);
+  auto solo = engine.RunText(heavy);
+  ASSERT_TRUE(solo.ok()) << solo.status();
+
+  std::atomic<bool> cancel_issued{false};
+  std::atomic<int> started{0};
+  std::atomic<int> stopped_in_flight{0};
+  std::atomic<int> wrong_status{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      started.fetch_add(1);
+      for (;;) {
+        const bool before_cancel = !cancel_issued.load();
+        auto r = engine.RunText(heavy);
+        if (r.ok()) {
+          if (!(r.value().data() == solo.value().data())) {
+            wrong_status.fetch_add(1);
+          }
+          continue;
+        }
+        if (r.status().code() != StatusCode::kCancelled) {
+          wrong_status.fetch_add(1);
+        } else if (before_cancel) {
+          stopped_in_flight.fetch_add(1);
+        }
+        return;
+      }
+    });
+  }
+  while (started.load() < 4) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  cancel_issued.store(true);
+  token.Cancel();
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(wrong_status.load(), 0);
+  EXPECT_GT(stopped_in_flight.load(), 0);
+
+  // Cancellation is sticky until the owner resets the token; then the same
+  // engine answers as before.
+  EXPECT_EQ(engine.RunText(heavy).status().code(), StatusCode::kCancelled);
+  token.Reset();
+  auto again = engine.RunText(heavy);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again.value().data(), solo.value().data());
 }
 
 }  // namespace

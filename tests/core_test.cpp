@@ -1,6 +1,10 @@
 // Tests for the classifier, the engine facade, and the workload generators.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/classifier.hpp"
 #include "core/engine.hpp"
 #include "core/explain.hpp"
@@ -196,6 +200,49 @@ TEST(EngineTest, ExplainInconsistentComparisons) {
   auto report =
       engine.ExplainText("p() :- E(x, y), x < y, y < x.").ValueOrDie();
   EXPECT_NE(report.find("INCONSISTENT"), std::string::npos);
+}
+
+// The operator skeleton of a plan render: each plan line's indentation and
+// operator name, with header lines ("-- route ...", "rows=...") dropped.
+std::vector<std::string> OperatorSkeleton(const std::string& render) {
+  std::vector<std::string> ops;
+  std::istringstream in(render);
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t start = line.find_first_not_of(' ');
+    if (start == std::string::npos || line.compare(start, 2, "--") == 0 ||
+        line.rfind("rows=", 0) == 0) {
+      continue;
+    }
+    ops.push_back(line.substr(0, line.find('(')));
+  }
+  return ops;
+}
+
+TEST(EngineTest, PlanTextFollowsThePlannerSwitches) {
+  Database db = GraphDatabase(GnpRandom(40, 0.2, 3));
+  const char* triangle = "ans(x, y, z) :- E(x, y), E(y, z), E(z, x).";
+  for (bool vectorize : {true, false}) {
+    SCOPED_TRACE(vectorize);
+    EngineOptions options;
+    options.wcoj = false;
+    options.vectorize = vectorize;
+    const Engine engine(db, options);
+    auto plan = engine.PlanText(triangle);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan.value().find("Multiway"), std::string::npos) << plan.value();
+    EXPECT_NE(plan.value().find("HashJoin"), std::string::npos) << plan.value();
+    EXPECT_EQ(plan.value().find("Materialize") != std::string::npos, vectorize)
+        << plan.value();
+    auto analyzed = engine.AnalyzeText(triangle);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+    EXPECT_EQ(OperatorSkeleton(plan.value()),
+              OperatorSkeleton(analyzed.value()))
+        << plan.value() << analyzed.value();
+    auto explained = engine.ExplainText(triangle);
+    ASSERT_TRUE(explained.ok()) << explained.status();
+    EXPECT_EQ(explained.value().find("Multiway"), std::string::npos);
+  }
 }
 
 TEST(WorkloadTest, EmployeeProjectsShape) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "relational/database.hpp"
 #include "relational/dictionary.hpp"
 #include "relational/named_relation.hpp"
@@ -124,6 +129,125 @@ TEST(RelationTest, SortAndDedup) {
   EXPECT_EQ(r.At(0, 0), 1);
   EXPECT_EQ(r.At(0, 1), 1);
   EXPECT_EQ(r.At(2, 0), 3);
+}
+
+// Randomized differential of the SortAndDedup kernel against row copies
+// sorted by std::sort and deduplicated by std::unique. The sizes straddle
+// the comparison-sort cutoff (256 rows); the value kinds reach both the
+// packed-key route (column ranges fit 64 bits together) and the wide
+// row-id route (they do not).
+enum class ValueKind {
+  kSmall,           // [-20, 20] with a constant column: heavy duplicates
+  kPacked64,        // column widths summing to exactly 64 bits
+  kFullRange,       // random 64-bit values, INT64_MIN and INT64_MAX
+  kDictionaryMix,   // dictionary codes >= 2^62 mixed with small ints
+};
+
+Value RandomValue(Rng& rng, ValueKind kind, size_t arity, size_t col) {
+  switch (kind) {
+    case ValueKind::kSmall:
+      return col == 1 ? 7 : rng.Range(-20, 20);
+    case ValueKind::kPacked64: {
+      const int width = static_cast<int>(64 / arity) +
+                        (col == 0 ? static_cast<int>(64 % arity) : 0);
+      const uint64_t raw =
+          width == 64 ? rng.Next() : rng.Next() >> (64 - width);
+      const Value offset = width == 64 ? 0 : -(Value{1} << (width - 1));
+      return static_cast<Value>(raw) + offset;
+    }
+    case ValueKind::kFullRange:
+      switch (rng.Below(8)) {
+        case 0:
+          return INT64_MIN;
+        case 1:
+          return INT64_MAX;
+        default:
+          return static_cast<Value>(rng.Next());
+      }
+    case ValueKind::kDictionaryMix:
+      return rng.Chance(0.5) ? rng.Range(-3, 3)
+                             : Dictionary::kCodeBase + rng.Range(0, 50);
+  }
+  return 0;
+}
+
+TEST(RelationTest, SortAndDedupMatchesReferenceSort) {
+  Rng rng(20261019);
+  const size_t kSizes[] = {0, 1, 2, 7, 255, 256, 257, 1000, 4099};
+  const ValueKind kKinds[] = {ValueKind::kSmall, ValueKind::kPacked64,
+                              ValueKind::kFullRange, ValueKind::kDictionaryMix};
+  for (size_t arity = 0; arity <= 6; ++arity) {
+    for (size_t n : kSizes) {
+      for (ValueKind kind : kKinds) {
+        for (int order = 0; order < 3; ++order) {  // random, sorted, reversed
+          SCOPED_TRACE(testing::Message()
+                       << "arity=" << arity << " n=" << n
+                       << " kind=" << static_cast<int>(kind)
+                       << " order=" << order);
+          std::vector<ValueVec> rows(n, ValueVec(arity));
+          for (ValueVec& row : rows) {
+            for (size_t c = 0; c < arity; ++c) {
+              row[c] = RandomValue(rng, kind, arity, c);
+            }
+          }
+          // Duplicate a few rows so every kind has exact repeats.
+          for (size_t i = 1; i < n; i += 5) rows[i] = rows[rng.Below(i)];
+          if (order == 1) std::sort(rows.begin(), rows.end());
+          if (order == 2) std::sort(rows.rbegin(), rows.rend());
+          Relation r(arity);
+          for (const ValueVec& row : rows) {
+            if (arity == 0) {
+              r.AddEmptyRow();
+            } else {
+              r.Add(row);
+            }
+          }
+          std::vector<ValueVec> expected = rows;
+          std::sort(expected.begin(), expected.end());
+          expected.erase(std::unique(expected.begin(), expected.end()),
+                         expected.end());
+          r.SortAndDedup();
+          EXPECT_TRUE(r.sorted());
+          ASSERT_EQ(r.size(), expected.size());
+          for (size_t i = 0; i < expected.size(); ++i) {
+            auto got = r.Row(i);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(), expected[i].begin(),
+                                   expected[i].end()))
+                << "row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RelationTest, SortAndDedupLeavesSharedViewsUntouched) {
+  Relation a(2);
+  for (Value i = 300; i > 0; --i) a.Add({i % 7, -i});
+  const std::vector<Value> before = a.data();
+  Relation view = a;
+  view.SortAndDedup();
+  EXPECT_EQ(a.data(), before);
+  EXPECT_FALSE(view.SharesStorageWith(a));
+  EXPECT_EQ(view.size(), 300u);
+  EXPECT_EQ(view.At(0, 0), 0);
+  EXPECT_EQ(view.At(0, 1), -294);
+}
+
+TEST(RelationTest, AppendCopiesRowsOnce) {
+  Relation a(2), b(2);
+  a.Add({1, 2});
+  b.Add({3, 4});
+  b.Add({1, 2});
+  Relation view = a;
+  a.Append(b);
+  EXPECT_EQ(a.size(), 3u);
+  EXPECT_EQ(view.size(), 1u);  // copy-on-write: the old view keeps its rows
+  EXPECT_EQ(a.At(1, 0), 3);
+  Relation t(0), f(0);
+  t.AddEmptyRow();
+  f.Append(t);
+  EXPECT_EQ(f.size(), 1u);
 }
 
 TEST(RelationTest, ContainsSortedAndUnsorted) {
