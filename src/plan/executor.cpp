@@ -20,7 +20,6 @@
 #include "relational/ops.hpp"
 #include "relational/row_index.hpp"
 #include "relational/trie_index.hpp"
-#include "runtime/parallel_ops.hpp"
 #include "runtime/vectorized_exec.hpp"
 
 namespace paraquery {
@@ -120,8 +119,6 @@ class Executor {
     return result;
   }
 
-  bool Parallel() const { return ctx_.runtime.parallel(); }
-
   // Compute wrapped with per-node wall timing (EXPLAIN ANALYZE) and an
   // operator span when the run is traced; clock-free otherwise, so the
   // default path is exactly the pre-observability executor. The compute
@@ -192,7 +189,7 @@ class Executor {
   // (i.e. exactly when sequential execution would have run it).
   Status ExecChildren(PlanNode& n, Result<NamedRelation>* left,
                       Result<NamedRelation>* right, Charge* charge) {
-    if (Parallel() && n.children[1]->op != PlanOp::kScan) {
+    if (ctx_.runtime.parallel() && n.children[1]->op != PlanOp::kScan) {
       std::optional<Result<NamedRelation>> right_result;
       Charge speculative;
       speculative.parent = charge;
@@ -256,11 +253,7 @@ class Executor {
         PQ_FAULT_POINT("executor.select");
         PQ_ASSIGN_OR_RETURN(NamedRelation in, Exec(*n.children[0], charge));
         size_t morsels = 0;
-        NamedRelation out =
-            (!n.predicate.empty() && in.arity() > 0 &&
-             ctx_.runtime.ShouldMorsel(in.size()))
-                ? ParallelSelect(in, n.predicate, ctx_.runtime, &morsels)
-                : Select(in, n.predicate);
+        NamedRelation out = Select(in, n.predicate, ctx_.runtime, &morsels);
         PQ_RETURN_NOT_OK(Account(n, &PlanStats::selects, out, charge, morsels));
         return out;
       }
@@ -269,10 +262,7 @@ class Executor {
         PQ_ASSIGN_OR_RETURN(NamedRelation in, Exec(*n.children[0], charge));
         size_t morsels = 0;
         NamedRelation out =
-            (!n.attrs.empty() && n.attrs != in.attrs() &&
-             ctx_.runtime.ShouldMorsel(in.size()))
-                ? ParallelProject(in, n.attrs, n.dedup, ctx_.runtime, &morsels)
-                : Project(in, n.attrs, n.dedup);
+            Project(in, n.attrs, n.dedup, ctx_.runtime, &morsels);
         if (ctx_.stats != nullptr && out.rel().SharesStorageWith(in.rel())) {
           std::lock_guard<std::mutex> lock(stats_mutex_);
           ++ctx_.stats->zero_copy_projections;
@@ -293,43 +283,16 @@ class Executor {
         JoinOptions jo;
         jo.max_output_rows = ctx_.limits.max_rows;
         jo.post_filter = n.predicate;  // pushed σ_F (empty = plain join)
-        JoinIndexCache* cache = n.children[1]->index_cache;
-        bool cached_scan = n.children[1]->op == PlanOp::kScan && cache != nullptr;
+        PQ_FAULT_POINT("executor.hashjoin.build");
+        std::optional<RowIndex> local;
+        const RowIndex& idx = JoinIndex(*n.children[1], right,
+                                        JoinKeyColumns(left, right), local);
         size_t morsels = 0;
-        Result<NamedRelation> joined = [&]() -> Result<NamedRelation> {
-          PQ_FAULT_POINT("executor.hashjoin.build");
-          // Morsel-parallel probe: the fast path only (no row cap, no
-          // pushed filter, nonzero output arity); the sequential kernel
-          // keeps the filtered/limited cases.
-          if (jo.max_output_rows == 0 && jo.post_filter.empty() &&
-              !n.attrs.empty() && ctx_.runtime.ShouldMorsel(left.size())) {
-            if (cached_scan) {
-              const Relation& stable =
-                  ctx_.inputs[n.children[1]->input_slot]->rel();
-              const RowIndex& idx = cache->GetOrBuild(
-                  stable, JoinKeyColumns(left, right), ctx_.stats, pfor_);
-              return ParallelJoin(left, right, idx, ctx_.runtime, &morsels);
-            }
-            RowIndex idx(right.rel(), JoinKeyColumns(left, right), pfor_);
-            return ParallelJoin(left, right, idx, ctx_.runtime, &morsels);
-          }
-          if (cached_scan) {
-            // Build over the caller-owned slot relation, NOT the local
-            // `right` copy: the cache (and the RowIndex's Relation pointer)
-            // outlives this call, and the slot input is the one relation
-            // guaranteed to outlive the cache.
-            const Relation& stable =
-                ctx_.inputs[n.children[1]->input_slot]->rel();
-            const RowIndex& idx = cache->GetOrBuild(
-                stable, JoinKeyColumns(left, right), ctx_.stats, pfor_);
-            return NaturalJoin(left, right, idx, jo);
-          }
-          return NaturalJoin(left, right, jo);
-        }();
-        PQ_RETURN_NOT_OK(joined.status());
-        PQ_RETURN_NOT_OK(
-            Account(n, &PlanStats::joins, joined.value(), charge, morsels));
-        return std::move(joined).value();
+        PQ_ASSIGN_OR_RETURN(
+            NamedRelation out,
+            NaturalJoin(left, right, idx, jo, ctx_.runtime, &morsels));
+        PQ_RETURN_NOT_OK(Account(n, &PlanStats::joins, out, charge, morsels));
+        return out;
       }
       case PlanOp::kSemijoin: {
         PQ_FAULT_POINT("executor.semijoin");
@@ -341,57 +304,10 @@ class Executor {
         PQ_ASSIGN_OR_RETURN(NamedRelation right, std::move(rres));
         if (right.empty()) return NamedRelation{n.attrs};
         size_t morsels = 0;
-        NamedRelation out =
-            ctx_.runtime.ShouldMorsel(left.size())
-                ? ParallelSemijoin(left, right, ctx_.runtime, &morsels)
-                : Semijoin(left, right);
+        NamedRelation out = Semijoin(left, right, ctx_.runtime, &morsels);
         PQ_RETURN_NOT_OK(
             Account(n, &PlanStats::semijoins, out, charge, morsels));
         return out;
-      }
-      case PlanOp::kUnion: {
-        PQ_FAULT_POINT("executor.union");
-        if (n.children.empty()) {
-          return Status::Internal("union plan node has no children");
-        }
-        std::vector<Result<NamedRelation>> parts;
-        if (Parallel() && n.children.size() > 1) {
-          // Structural parallelism: every branch is an independent task;
-          // the merge below runs in branch order, so the result matches
-          // the sequential left-to-right union exactly. Branches are not
-          // speculative w.r.t. limits — the sequential executor runs every
-          // branch regardless of sibling emptiness — so they charge the
-          // current context directly.
-          parts.assign(n.children.size(), NamedRelation{});
-          {
-            TaskGroup group(ctx_.runtime.scheduler);
-            for (size_t i = 1; i < n.children.size(); ++i) {
-              PlanNode* child = n.children[i].get();
-              Result<NamedRelation>* slot = &parts[i];
-              group.Spawn(
-                  [this, child, slot, charge] { *slot = Exec(*child, charge); });
-            }
-            if (ctx_.stats != nullptr) {
-              std::lock_guard<std::mutex> lock(stats_mutex_);
-              ctx_.stats->parallel_tasks += n.children.size() - 1;
-            }
-            parts[0] = Exec(*n.children[0], charge);
-          }  // group destructor waits
-        } else {
-          for (const PlanNodePtr& c : n.children) {
-            parts.push_back(Exec(*c, charge));
-            if (!parts.back().ok()) break;  // sequential: stop at first error
-          }
-        }
-        for (const Result<NamedRelation>& p : parts) {
-          PQ_RETURN_NOT_OK(p.status());
-        }
-        NamedRelation acc = parts[0].value();
-        for (size_t i = 1; i < parts.size(); ++i) {
-          acc = UnionSet(acc, parts[i].value());
-        }
-        PQ_RETURN_NOT_OK(Account(n, &PlanStats::unions, acc, charge));
-        return acc;
       }
       case PlanOp::kDedup: {
         PQ_FAULT_POINT("executor.dedup");
@@ -401,10 +317,6 @@ class Executor {
         PQ_RETURN_NOT_OK(Account(n, &PlanStats::dedups, out, charge));
         return out;
       }
-      case PlanOp::kFixpoint:
-        return Status::InvalidArgument(
-            "fixpoint plan nodes are driven by the Datalog engine, not the "
-            "plan executor");
       case PlanOp::kMaterialize: {
         PQ_FAULT_POINT("executor.vec.materialize");
         if (n.children.size() != 1) {
@@ -528,45 +440,21 @@ class Executor {
     return Status::Internal("unknown plan operator");
   }
 
-  // Concatenates per-morsel value buffers in morsel order into one relation —
-  // the same rows in the same order the sequential walk produces.
-  static NamedRelation MergeCountMorsels(const std::vector<AttrId>& attrs,
-                                         std::vector<std::vector<Value>> bufs) {
-    size_t total = 0;
-    for (const std::vector<Value>& b : bufs) total += b.size();
-    std::vector<Value> out;
-    out.reserve(total);
-    for (const std::vector<Value>& b : bufs) {
-      out.insert(out.end(), b.begin(), b.end());
-    }
-    return NamedRelation{attrs, Relation(attrs.size(), std::move(out))};
-  }
-
-  // Runs `emit(buf, r)` for every row of [0, nrows), morsel-parallel when the
-  // input is large enough, merging per-morsel buffers in morsel order; the
-  // output is byte-identical at any thread count because emit() decides
-  // per-row (via the shared RowIndex, whose layout is width-independent)
-  // whether row r contributes.
+  // Runs `emit(buf, r)` for every row of [0, nrows) through MorselRows
+  // (relational/ops.hpp): morsel-parallel when the input is large enough,
+  // with per-morsel buffers merged in morsel order. The output is
+  // byte-identical at any thread count because emit() decides per row (via
+  // the shared RowIndex, whose layout is width-independent) whether row r
+  // contributes.
   template <typename EmitFn>
   NamedRelation RowWalk(const std::vector<AttrId>& attrs, size_t nrows,
                         size_t* morsels, const EmitFn& emit) {
-    if (ctx_.runtime.ShouldMorsel(nrows)) {
-      std::vector<std::vector<Value>> bufs(
-          ChunkCount(nrows, ctx_.runtime.morsel_rows));
-      size_t chunks = ParallelChunks(
-          ctx_.runtime.scheduler, nrows, ctx_.runtime.morsel_rows,
-          [&](size_t c, size_t begin, size_t end) {
-            // Aborted query: skip the morsel; the executor re-checks the
-            // abort in AccountRows, so a partial result never escapes.
-            if (ctx_.runtime.Interrupted()) return;
-            for (size_t r = begin; r < end; ++r) emit(bufs[c], r);
-          });
-      if (morsels != nullptr) *morsels += chunks;
-      return MergeCountMorsels(attrs, std::move(bufs));
-    }
-    std::vector<Value> buf;
-    for (size_t r = 0; r < nrows; ++r) emit(buf, r);
-    return NamedRelation{attrs, Relation(attrs.size(), std::move(buf))};
+    std::vector<Value> rows = MorselRows(
+        nrows, ctx_.runtime, /*span=*/nullptr, morsels,
+        [&](std::vector<Value>& buf, size_t begin, size_t end) {
+          for (size_t r = begin; r < end; ++r) emit(buf, r);
+        });
+    return NamedRelation{attrs, Relation(attrs.size(), std::move(rows))};
   }
 
   // Multiplicity-aware hash aggregation: groups the child's rows on the
@@ -630,7 +518,7 @@ class Executor {
   // non-matching left row is dropped (the semijoin filter). With no
   // right-only attributes the matches collapse to one output row whose
   // multiplicity sums the right side's. Left rows probe in row order
-  // (morsel-parallel like ParallelJoin), so output order is deterministic.
+  // (morsel-parallel like NaturalJoin), so output order is deterministic.
   Result<NamedRelation> SemijoinCounts(PlanNode& n, const NamedRelation& left,
                                        const NamedRelation& right,
                                        size_t* morsels) {
@@ -690,6 +578,26 @@ class Executor {
         });
   }
 
+  // The RowIndex a join probes over its right input `rnode` (evaluated to
+  // `right`) on key columns `rcols`. A cached scan memoizes it in the
+  // scan's JoinIndexCache, built over the caller-owned slot relation, NOT
+  // the local `right` copy: the cache (and the RowIndex's Relation pointer)
+  // outlives this call, and the slot input is the one relation guaranteed
+  // to outlive the cache. Any other input gets a fresh build in `local`.
+  const RowIndex& JoinIndex(PlanNode& rnode, const NamedRelation& right,
+                            const std::vector<int>& rcols,
+                            std::optional<RowIndex>& local) {
+    JoinIndexCache* cache = rnode.index_cache;
+    if (rnode.op == PlanOp::kScan && cache != nullptr &&
+        rnode.input_slot >= 0 &&
+        static_cast<size_t>(rnode.input_slot) < ctx_.inputs.size()) {
+      const Relation& stable = ctx_.inputs[rnode.input_slot]->rel();
+      return cache->GetOrBuild(stable, rcols, ctx_.stats, pfor_);
+    }
+    local.emplace(right.rel(), rcols, pfor_);
+    return *local;
+  }
+
   // Runs a compiled columnar pipeline under this execution's budget: build
   // sides execute as row subtrees under the SAME charge (non-speculative,
   // and only when the probe side is nonempty — the sequential operation
@@ -723,17 +631,7 @@ class Executor {
     env.get_index = [this](PlanNode& rnode, const NamedRelation& right,
                            const std::vector<int>& rcols,
                            std::optional<RowIndex>& local) -> const RowIndex& {
-      JoinIndexCache* cache = rnode.index_cache;
-      if (rnode.op == PlanOp::kScan && cache != nullptr &&
-          rnode.input_slot >= 0 &&
-          static_cast<size_t>(rnode.input_slot) < ctx_.inputs.size()) {
-        // Build over the caller-owned slot relation (it outlives the cache),
-        // exactly like the row path's cached-scan branch.
-        const Relation& stable = ctx_.inputs[rnode.input_slot]->rel();
-        return cache->GetOrBuild(stable, rcols, ctx_.stats, pfor_);
-      }
-      local.emplace(right.rel(), rcols, pfor_);
-      return *local;
+      return JoinIndex(rnode, right, rcols, local);
     };
     return ExecuteVecPipeline(pipe, env, batches);
   }

@@ -4,14 +4,15 @@
 //
 // With a TaskScheduler bound through ExecContext::runtime the executor goes
 // parallel on two axes, with results bit-identical to sequential runs:
-//   * structural — the two inputs of a HashJoin/Semijoin and the branches
-//     of a Union (independent subtrees of the DAG, e.g. Yannakakis sibling
-//     semijoin subtrees) execute as concurrent tasks, with shared nodes
-//     still computed exactly once;
-//   * morsel — Select, Project, the hash-join probe, and the semijoin probe
-//     split their input rows into morsels processed by scheduler tasks into
-//     per-worker buffers merged in deterministic morsel order
-//     (runtime/parallel_ops.hpp).
+//   * structural — the two inputs of a HashJoin/Semijoin/SemijoinCount
+//     (independent subtrees of the DAG, e.g. Yannakakis sibling semijoin
+//     subtrees) execute as concurrent tasks, with shared nodes still
+//     computed exactly once;
+//   * morsel — each Select, Project, HashJoin and Semijoin node is one call
+//     of its relational/ops.hpp kernel under the runtime, which splits the
+//     input rows (the probe side of a join) into morsels run as scheduler
+//     tasks and merged in deterministic morsel order. Aggregate and
+//     SemijoinCount walk their rows through the same MorselRows driver.
 // ResourceLimits stay enforced through one atomic row budget shared by all
 // tasks of the execution. Parallel execution is speculative about the
 // sequential empty-input short-circuit — a subtree the sequential executor
@@ -54,8 +55,7 @@ struct ExecContext {
 /// running — and without counting — downstream kernels, reproducing the
 /// early-exit behavior of the hand-rolled evaluators this replaced (under a
 /// scheduler, concurrently started sibling subtrees may already have run;
-/// see above). Fixpoint nodes are rejected (their iteration belongs to the
-/// Datalog engine, which executes the per-rule child plans itself).
+/// see above).
 Result<NamedRelation> ExecutePlan(PlanNode& root, const ExecContext& ctx);
 
 /// Multi-root execution over ONE node memoization: subplans shared between

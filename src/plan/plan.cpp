@@ -78,12 +78,8 @@ const char* PlanOpName(PlanOp op) {
       return "HashJoin";
     case PlanOp::kSemijoin:
       return "Semijoin";
-    case PlanOp::kUnion:
-      return "Union";
     case PlanOp::kDedup:
       return "Dedup";
-    case PlanOp::kFixpoint:
-      return "Fixpoint";
     case PlanOp::kMaterialize:
       return "Materialize";
     case PlanOp::kMultiwayJoin:
@@ -102,7 +98,6 @@ void PlanStats::Merge(const PlanStats& o) {
   projections += o.projections;
   semijoins += o.semijoins;
   joins += o.joins;
-  unions += o.unions;
   dedups += o.dedups;
   multiway_joins += o.multiway_joins;
   aggregates += o.aggregates;
@@ -125,7 +120,7 @@ std::string PlanStats::ToString() const {
   oss << "scans=" << scans << " selects=" << selects
       << " projections=" << projections << " semijoins=" << semijoins
       << " joins=" << joins << " multiway_joins=" << multiway_joins
-      << " unions=" << unions << " dedups=" << dedups
+      << " dedups=" << dedups
       << " aggregates=" << aggregates << " semijoin_counts=" << semijoin_counts
       << "\nrows_produced=" << rows_produced
       << " peak_intermediate_rows=" << peak_intermediate_rows
@@ -278,24 +273,6 @@ PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right) {
   return n;
 }
 
-PlanNodePtr MakeUnion(std::vector<PlanNodePtr> children,
-                      std::vector<AttrId> attrs) {
-  auto n = std::make_shared<PlanNode>();
-  n->op = PlanOp::kUnion;
-  n->attrs = std::move(attrs);
-  double est = 0;
-  for (const PlanNodePtr& c : children) {
-    if (c->est_rows < 0) {
-      est = -1.0;
-      break;
-    }
-    est += c->est_rows;
-  }
-  n->est_rows = est;
-  n->children = std::move(children);
-  return n;
-}
-
 PlanNodePtr MakeDedup(PlanNodePtr child) {
   auto n = std::make_shared<PlanNode>();
   n->op = PlanOp::kDedup;
@@ -307,15 +284,6 @@ PlanNodePtr MakeDedup(PlanNodePtr child) {
     for (double& v : n->attr_distinct) v = CapDistinct(v, n->est_rows);
   }
   n->children.push_back(std::move(child));
-  return n;
-}
-
-PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,
-                         std::string label) {
-  auto n = std::make_shared<PlanNode>();
-  n->op = PlanOp::kFixpoint;
-  n->label = std::move(label);
-  n->children = std::move(rule_plans);
   return n;
 }
 
@@ -501,7 +469,7 @@ struct Renderer {
       } else {
         out << " rows=?";
       }
-    } else if (n.op != PlanOp::kFixpoint) {
+    } else {
       if (n.est_rows >= 0) {
         out << " est=" << static_cast<uint64_t>(std::llround(n.est_rows));
       } else {

@@ -2,8 +2,9 @@
 // to. A plan is a DAG of PlanNodes (shared subplans are permitted — the
 // Yannakakis schedule reuses reduced relations in several places) over the
 // operators the paper's algorithms are stated in: Scan (an S_j input slot),
-// Select, Project, HashJoin, Semijoin, Union, Dedup, and Fixpoint (a marker
-// node whose iteration is driven by the Datalog engine).
+// Select, Project, HashJoin, Semijoin and Dedup, plus the columnar
+// Materialize boundary, the worst-case-optimal MultiwayJoin and the counting
+// operators Aggregate and SemijoinCount.
 //
 // The planner (planner.hpp) lowers classified queries to plans; the executor
 // (executor.hpp) runs any plan on the RowBlock/RowIndex kernels and fills in
@@ -56,13 +57,7 @@ enum class PlanOp {
   kProject,   // keep `attrs`, optionally deduplicating
   kHashJoin,  // natural join, right side probed through a RowIndex
   kSemijoin,  // left ⋉ right
-  kUnion,     // set union of same-attribute children. The UCQ evaluator
-              // currently iterates disjunct plans itself (their head
-              // variables are standardized apart), so this op is executable
-              // but not yet planner-emitted.
   kDedup,     // explicit set-semantics enforcement
-  kFixpoint,  // Datalog marker: children are per-rule body plans; iteration
-              // is driven by the semi-naive engine, not the plan executor
   kMaterialize,  // representation boundary: executes its child chain through
                  // the vectorized columnar pipeline (selection vectors over
                  // column stripes) and materializes the result back to rows
@@ -113,7 +108,6 @@ struct PlanStats {
   size_t projections = 0;
   size_t semijoins = 0;
   size_t joins = 0;
-  size_t unions = 0;
   size_t dedups = 0;
   /// Worst-case-optimal multiway joins executed (leapfrog triejoin).
   size_t multiway_joins = 0;
@@ -178,7 +172,7 @@ struct PlanNode {
   /// Output attributes (query variable ids).
   std::vector<AttrId> attrs;
   /// Human-readable annotation: relation/atom text for Scan, predicate text
-  /// for Select, rule text for Fixpoint children, ...
+  /// for Select, ...
   std::string label;
   /// Planner's cardinality estimate (< 0: unknown, rendered as "?").
   double est_rows = -1.0;
@@ -240,11 +234,7 @@ PlanNodePtr MakeProject(PlanNodePtr child, std::vector<AttrId> attrs,
 PlanNodePtr MakeHashJoin(PlanNodePtr left, PlanNodePtr right,
                          Predicate post_filter = {});
 PlanNodePtr MakeSemijoin(PlanNodePtr left, PlanNodePtr right);
-PlanNodePtr MakeUnion(std::vector<PlanNodePtr> children,
-                      std::vector<AttrId> attrs);
 PlanNodePtr MakeDedup(PlanNodePtr child);
-PlanNodePtr MakeFixpoint(std::vector<PlanNodePtr> rule_plans,
-                         std::string label);
 /// Representation boundary over `child` (same attrs/estimates). The executor
 /// runs the chain below it vectorized when eligible (vec_pipeline.hpp) and
 /// falls back to executing the child row-at-a-time otherwise.

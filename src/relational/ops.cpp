@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
 #include "relational/row_index.hpp"
 #include "relational/value.hpp"
 
@@ -28,7 +29,66 @@ std::vector<int> AllColumns(const Relation& rel) {
   return cols;
 }
 
+// Chunk slots ForEachMorsel(n, runtime, ...) fills: one per morsel when it
+// splits, else the one inline chunk.
+size_t MorselSlots(size_t n, const RuntimeOptions& runtime) {
+  return runtime.ShouldMorsel(n) ? ChunkCount(n, runtime.morsel_rows) : 1;
+}
+
+// Runs fn(chunk, begin, end) over [0, n): one inline call fn(0, 0, n) unless
+// runtime.ShouldMorsel(n), else one scheduler task per morsel under a `span`
+// trace span (none when null). A morsel is skipped once the query is
+// interrupted; the caller re-checks the abort after the operator, so a
+// result assembled from skipped morsels never escapes. Returns the number
+// of morsels, 0 when it did not split.
+template <typename Fn>
+size_t ForEachMorsel(size_t n, const RuntimeOptions& runtime, const char* span,
+                     const Fn& fn) {
+  if (!runtime.ShouldMorsel(n)) {
+    fn(size_t{0}, size_t{0}, n);
+    return 0;
+  }
+  return ParallelChunks(
+      runtime.scheduler, n, runtime.morsel_rows,
+      [&](size_t c, size_t begin, size_t end) {
+        if (runtime.Interrupted()) return;
+        TraceSpan trace(span != nullptr ? runtime.tracer : nullptr, span);
+        fn(c, begin, end);
+      });
+}
+
+// Exclusive prefix sum of per-chunk row counts; returns the total.
+size_t PrefixOffsets(std::vector<size_t>* counts) {
+  size_t total = 0;
+  for (size_t& c : *counts) {
+    size_t n = c;
+    c = total;
+    total += n;
+  }
+  return total;
+}
+
 }  // namespace
+
+std::vector<Value> MorselRows(
+    size_t n, const RuntimeOptions& runtime, const char* span,
+    size_t* morsels,
+    const std::function<void(std::vector<Value>&, size_t, size_t)>& fill) {
+  std::vector<std::vector<Value>> bufs(MorselSlots(n, runtime));
+  size_t chunks = ForEachMorsel(
+      n, runtime, span,
+      [&](size_t c, size_t begin, size_t end) { fill(bufs[c], begin, end); });
+  if (chunks == 0) return std::move(bufs[0]);
+  if (morsels != nullptr) *morsels += chunks;
+  size_t total = 0;
+  for (const std::vector<Value>& b : bufs) total += b.size();
+  std::vector<Value> out;
+  out.reserve(total);
+  for (const std::vector<Value>& b : bufs) {
+    out.insert(out.end(), b.begin(), b.end());
+  }
+  return out;
+}
 
 std::vector<int> JoinKeyColumns(const NamedRelation& left,
                                 const NamedRelation& right) {
@@ -37,20 +97,28 @@ std::vector<int> JoinKeyColumns(const NamedRelation& left,
   return rcols;
 }
 
-NamedRelation Select(const NamedRelation& in, const Predicate& pred) {
+NamedRelation Select(const NamedRelation& in, const Predicate& pred,
+                     const RuntimeOptions& runtime, size_t* morsels) {
   // Identity selection: every row passes, so return a storage-sharing view.
   if (pred.empty()) return in;
-  NamedRelation out{in.attrs()};
-  out.rel().Reserve(in.size());
-  for (size_t r = 0; r < in.size(); ++r) {
-    auto row = in.rel().Row(r);
-    if (pred.Eval(row)) out.rel().Add(row);
-  }
-  return out;
+  const size_t arity = in.arity();
+  // Zero-ary rows are all the empty row: they pass or fail together.
+  if (arity == 0) return pred.Eval({}) ? in : NamedRelation{in.attrs()};
+  std::vector<Value> out = MorselRows(
+      in.size(), runtime, "morsel.select", morsels,
+      [&](std::vector<Value>& buf, size_t begin, size_t end) {
+        buf.reserve((end - begin) * arity);
+        for (size_t r = begin; r < end; ++r) {
+          auto row = in.rel().Row(r);
+          if (pred.Eval(row)) buf.insert(buf.end(), row.begin(), row.end());
+        }
+      });
+  return NamedRelation{in.attrs(), Relation(arity, std::move(out))};
 }
 
 NamedRelation Project(const NamedRelation& in, const std::vector<AttrId>& attrs,
-                      bool dedup) {
+                      bool dedup, const RuntimeOptions& runtime,
+                      size_t* morsels) {
   // No-op projection (same attributes, same order): return a view sharing the
   // input's row storage. HashDedup only copies if duplicates actually exist.
   if (attrs == in.attrs()) {
@@ -65,27 +133,41 @@ NamedRelation Project(const NamedRelation& in, const std::vector<AttrId>& attrs,
     cols[i] = c;
   }
   NamedRelation out{attrs};
-  out.rel().Reserve(in.size());
-  ValueVec row(attrs.size());
-  for (size_t r = 0; r < in.size(); ++r) {
-    for (size_t i = 0; i < cols.size(); ++i) row[i] = in.rel().At(r, cols[i]);
-    out.rel().Add(row);
+  if (attrs.empty()) {
+    // Zero-ary result: one empty row per input row.
+    for (size_t r = 0; r < in.size(); ++r) out.rel().AddEmptyRow();
+  } else {
+    out.rel() = Relation(
+        attrs.size(),
+        MorselRows(in.size(), runtime, "morsel.project", morsels,
+                   [&](std::vector<Value>& buf, size_t begin, size_t end) {
+                     buf.reserve((end - begin) * cols.size());
+                     for (size_t r = begin; r < end; ++r) {
+                       for (int c : cols) buf.push_back(in.rel().At(r, c));
+                     }
+                   }));
   }
+  // The rows are in input order at any width, so first-occurrence dedup
+  // keeps the same rows in the same positions.
   if (dedup) out.rel().HashDedup();
   return out;
 }
 
 Result<NamedRelation> NaturalJoin(const NamedRelation& left,
                                   const NamedRelation& right,
-                                  const JoinOptions& options) {
+                                  const JoinOptions& options,
+                                  const RuntimeOptions& runtime,
+                                  size_t* morsels) {
   RowIndex index(right.rel(), JoinKeyColumns(left, right));
-  return NaturalJoin(left, right, index, options);
+  return NaturalJoin(left, right, index, options, runtime, morsels);
 }
 
 Result<NamedRelation> NaturalJoin(const NamedRelation& left,
                                   const NamedRelation& right,
                                   const RowIndex& right_index,
-                                  const JoinOptions& options) {
+                                  const JoinOptions& options,
+                                  const RuntimeOptions& runtime,
+                                  size_t* morsels) {
   // The index may have been built over any view sharing `right`'s row
   // storage (e.g. the Datalog EDB cache's canonical materialization probed
   // through a relabeled view); key columns are positional, so storage
@@ -113,31 +195,42 @@ Result<NamedRelation> NaturalJoin(const NamedRelation& left,
   // row-major buffer, copying the left prefix once per probed row.
   if (options.post_filter.empty() && options.max_output_rows == 0 &&
       out_arity > 0) {
-    // Probe pass: remember each left row's chain head and size the output
-    // exactly, so the emit pass is pure pointer writes into one allocation.
+    // Probe pass: remember each left row's chain head and size each chunk's
+    // output exactly, so the emit pass is pure pointer writes into one
+    // allocation, each chunk into its own slice.
     size_t nl = left.size();
     std::vector<uint32_t> first(nl);
-    size_t total = 0;
-    for (size_t lr = 0; lr < nl; ++lr) {
-      uint32_t rr = right_index.Find(left.rel(), lr, lcols);
-      first[lr] = rr;
-      if (rr != RowIndex::kNone) total += right_index.MatchCount(rr);
-    }
+    std::vector<size_t> offsets(MorselSlots(nl, runtime), 0);
+    size_t chunks = ForEachMorsel(
+        nl, runtime, "morsel.join", [&](size_t c, size_t begin, size_t end) {
+          size_t total = 0;
+          for (size_t lr = begin; lr < end; ++lr) {
+            uint32_t rr = right_index.Find(left.rel(), lr, lcols);
+            first[lr] = rr;
+            if (rr != RowIndex::kNone) total += right_index.MatchCount(rr);
+          }
+          offsets[c] = total;
+        });
+    size_t total = PrefixOffsets(&offsets);
     std::vector<Value> out_data(total * out_arity);
-    Value* dst = out_data.data();
-    const std::vector<Value>& ldata = left.rel().data();
-    const std::vector<Value>& rdata = right.rel().data();
+    const Value* ldata = left.rel().data().data();
+    const Value* rdata = right.rel().data().data();
     size_t rarity = right.arity();
-    for (size_t lr = 0; lr < nl; ++lr) {
-      uint32_t rr = first[lr];
-      if (rr == RowIndex::kNone) continue;
-      const Value* lrow = ldata.data() + lr * larity;
-      for (; rr != RowIndex::kNone; rr = right_index.Next(rr)) {
-        for (size_t i = 0; i < larity; ++i) *dst++ = lrow[i];
-        const Value* rrow = rdata.data() + static_cast<size_t>(rr) * rarity;
-        for (int c : right_extra) *dst++ = rrow[c];
-      }
-    }
+    ForEachMorsel(
+        nl, runtime, "morsel.join", [&](size_t c, size_t begin, size_t end) {
+          Value* dst = out_data.data() + offsets[c] * out_arity;
+          for (size_t lr = begin; lr < end; ++lr) {
+            uint32_t rr = first[lr];
+            if (rr == RowIndex::kNone) continue;
+            const Value* lrow = ldata + lr * larity;
+            for (; rr != RowIndex::kNone; rr = right_index.Next(rr)) {
+              for (size_t i = 0; i < larity; ++i) *dst++ = lrow[i];
+              const Value* rrow = rdata + static_cast<size_t>(rr) * rarity;
+              for (int col : right_extra) *dst++ = rrow[col];
+            }
+          }
+        });
+    if (morsels != nullptr) *morsels += chunks;
     return NamedRelation{std::move(out_attrs),
                          Relation(out_arity, std::move(out_data))};
   }
@@ -165,7 +258,8 @@ Result<NamedRelation> NaturalJoin(const NamedRelation& left,
   return out;
 }
 
-NamedRelation Semijoin(const NamedRelation& left, const NamedRelation& right) {
+NamedRelation Semijoin(const NamedRelation& left, const NamedRelation& right,
+                       const RuntimeOptions& runtime, size_t* morsels) {
   auto common = CommonColumns(left, right);
   std::vector<int> lcols, rcols;
   for (auto [lc, rc] : common) {
@@ -177,25 +271,38 @@ NamedRelation Semijoin(const NamedRelation& left, const NamedRelation& right) {
     return right.empty() ? NamedRelation{left.attrs()} : left;
   }
   RowIndex index(right.rel(), std::move(rcols));
+  // Probe pass: each chunk lists its surviving left rows.
   size_t nl = left.size();
-  std::vector<uint32_t> keep;
-  keep.reserve(nl);
-  for (size_t lr = 0; lr < nl; ++lr) {
-    if (index.Contains(left.rel(), lr, lcols)) {
-      keep.push_back(static_cast<uint32_t>(lr));
-    }
-  }
+  std::vector<std::vector<uint32_t>> keep(MorselSlots(nl, runtime));
+  size_t chunks = ForEachMorsel(
+      nl, runtime, "morsel.semijoin", [&](size_t c, size_t begin, size_t end) {
+        std::vector<uint32_t>& kept = keep[c];
+        kept.reserve(end - begin);
+        for (size_t lr = begin; lr < end; ++lr) {
+          if (index.Contains(left.rel(), lr, lcols)) {
+            kept.push_back(static_cast<uint32_t>(lr));
+          }
+        }
+      });
+  if (morsels != nullptr) *morsels += chunks;
+  std::vector<size_t> offsets(keep.size());
+  for (size_t c = 0; c < keep.size(); ++c) offsets[c] = keep[c].size();
+  size_t total = PrefixOffsets(&offsets);
   // Every row survived: the result IS left — share its storage.
-  if (keep.size() == nl) return left;
-  // Emit survivors into one exactly-sized flat buffer.
+  if (total == nl) return left;
+  // Emit survivors into one exactly-sized flat buffer, each chunk into its
+  // own slice.
   size_t arity = left.arity();
-  std::vector<Value> out_data(keep.size() * arity);
-  Value* dst = out_data.data();
+  std::vector<Value> out_data(total * arity);
   const Value* src = left.rel().data().data();
-  for (uint32_t lr : keep) {
-    const Value* row = src + static_cast<size_t>(lr) * arity;
-    for (size_t i = 0; i < arity; ++i) *dst++ = row[i];
-  }
+  ForEachMorsel(
+      nl, runtime, "morsel.semijoin", [&](size_t c, size_t, size_t) {
+        Value* dst = out_data.data() + offsets[c] * arity;
+        for (uint32_t lr : keep[c]) {
+          const Value* row = src + static_cast<size_t>(lr) * arity;
+          for (size_t i = 0; i < arity; ++i) *dst++ = row[i];
+        }
+      });
   return NamedRelation{left.attrs(), Relation(arity, std::move(out_data))};
 }
 

@@ -128,6 +128,28 @@ TEST(TracingDifferentialTest, DatalogFixpointTraceHasHierarchySpans) {
   EXPECT_NE(profile.find("firing"), std::string::npos);
 }
 
+TEST(TracingDifferentialTest, MorselKernelsRecordTheirSpans) {
+  Database db = GraphDatabase(GnpRandom(60, 0.2, 9));
+  EngineOptions options;
+  options.threads = 2;
+  options.morsel_rows = 16;   // small morsels so the test inputs split
+  options.vectorize = false;  // the row kernels, not the columnar pipeline
+  options.trace = true;
+  Engine engine(db, options);
+  std::string json;
+  for (const char* text : {"ans(x, z) :- E(x, y), E(y, z), E(z, w), x < 30.",
+                           "ans(x, w) :- E(x, y), E(y, z), E(z, w)."}) {
+    auto result = engine.RunText(text, &db.dict());
+    ASSERT_TRUE(result.ok()) << result.status();
+    json += engine.tracer()->ChromeTraceJson();
+  }
+  for (const char* span : {"morsel.select", "morsel.project", "morsel.join",
+                           "morsel.semijoin"}) {
+    EXPECT_NE(json.find(std::string("\"") + span + "\""), std::string::npos)
+        << span;
+  }
+}
+
 TEST(TracingAbortTest, DeadlineAbortStillExportsWellFormedTrace) {
   // Big enough that the fixpoint cannot finish in a millisecond.
   Database db = GraphDatabase(GnpRandom(400, 0.05, 7));

@@ -285,34 +285,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PlanDifferentialTest,
 // Executor mechanics.
 // ---------------------------------------------------------------------------
 
-TEST(PlanExecutorTest, UnionAndActualRows) {
-  NamedRelation a({0});
-  a.rel().Add({1});
-  a.rel().Add({2});
-  NamedRelation b({0});
-  b.rel().Add({2});
-  b.rel().Add({3});
-  auto u = MakeUnion({MakeScan(0, {0}, "A", 2), MakeScan(1, {0}, "B", 2)},
-                     {0});
-  std::vector<const NamedRelation*> inputs = {&a, &b};
-  PlanStats stats;
-  ExecContext ctx{inputs, {}, &stats};
-  auto out = ExecutePlan(*u, ctx).ValueOrDie();
-  EXPECT_EQ(out.size(), 3u);
-  EXPECT_EQ(stats.unions, 1u);
-  EXPECT_EQ(u->actual_rows, 3u);
-  EXPECT_NE(RenderPlan(*u).find("actual=3"), std::string::npos);
-}
-
-TEST(PlanExecutorTest, FixpointNodesAreRejected) {
-  auto fp = MakeFixpoint({MakeScan(0, {0}, "A", 1)}, "semi-naive");
-  NamedRelation a({0});
-  std::vector<const NamedRelation*> inputs = {&a};
-  ExecContext ctx{inputs, {}, nullptr};
-  EXPECT_EQ(ExecutePlan(*fp, ctx).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(PlanExecutorTest, ExecutedPlanRenderShowsActuals) {
   Database db = GoldenDb();
   auto q = ParseConjunctive("ans(a, d) :- E(a,b), E(b,c), E(c,d).")

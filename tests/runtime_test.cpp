@@ -1,6 +1,6 @@
 // Tests for the parallel runtime (src/runtime/): scheduler mechanics
-// (nesting, cancellation, error capture, clean shutdown), morsel-parallel
-// operator equivalence with the sequential kernels, and the headline
+// (nesting, cancellation, error capture, clean shutdown), the row kernels'
+// byte identity across widths and morsel sizes, and the headline
 // guarantee — engine results at N threads are byte-identical to 1 thread
 // across randomized CQ/UCQ/Datalog workloads, with resource limits still
 // enforced under concurrency.
@@ -17,7 +17,6 @@
 #include "query/parser.hpp"
 #include "relational/ops.hpp"
 #include "relational/row_index.hpp"
-#include "runtime/parallel_ops.hpp"
 #include "runtime/scheduler.hpp"
 #include "workload/generators.hpp"
 
@@ -106,7 +105,7 @@ TEST(TaskSchedulerTest, NullAndWidthOneRunInline) {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel operators vs the sequential kernels.
+// Row kernels: one chunk vs morsels.
 // ---------------------------------------------------------------------------
 
 NamedRelation RandomRelation(std::vector<AttrId> attrs, size_t rows,
@@ -130,33 +129,100 @@ void ExpectIdentical(const NamedRelation& a, const NamedRelation& b) {
   EXPECT_EQ(a.rel().data(), b.rel().data());
 }
 
+// Runs `op(runtime, &morsels)` under the default runtime and under `wide`.
+// Both outputs must be byte-identical. The default runtime never splits.
+// Under `wide` the kernel reports ChunkCount(split_rows, grain) morsels if
+// it splits `split_rows` rows, else 0. Returns the wide output.
+template <typename Op>
+NamedRelation ExpectSameAtBothWidths(const Op& op, const RuntimeOptions& wide,
+                                     size_t split_rows, bool splits) {
+  size_t narrow_morsels = 0, wide_morsels = 0;
+  NamedRelation narrow = op(RuntimeOptions{}, &narrow_morsels);
+  NamedRelation out = op(wide, &wide_morsels);
+  ExpectIdentical(narrow, out);
+  EXPECT_EQ(narrow_morsels, 0u);
+  EXPECT_EQ(wide_morsels, splits ? ChunkCount(split_rows, wide.morsel_rows)
+                                 : size_t{0});
+  return out;
+}
+
 TEST(ParallelOpsTest, OperatorsMatchSequentialKernels) {
   TaskScheduler scheduler(4);
-  RuntimeOptions runtime{&scheduler, /*morsel_rows=*/64};
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    NamedRelation left = RandomRelation({0, 1}, 700, 40, seed);
-    NamedRelation right = RandomRelation({1, 2}, 500, 40, seed + 100);
+  for (size_t grain : {size_t{1}, size_t{64}, size_t{4096}}) {
+    RuntimeOptions wide{&scheduler, grain};
+    // Sizes on both sides of the ShouldMorsel boundary (two morsels).
+    for (size_t rows : {size_t{0}, size_t{1}, 2 * grain - 1, 2 * grain}) {
+      SCOPED_TRACE(testing::Message() << "grain=" << grain
+                                      << " rows=" << rows);
+      const bool splits = rows >= 2 * grain;
+      ASSERT_EQ(wide.ShouldMorsel(rows), splits);
+      NamedRelation left = RandomRelation({0, 1}, rows, 40, rows + grain);
+      // 25 rows over 40 values: about half the left rows find a partner.
+      NamedRelation right = RandomRelation({1, 2}, 25, 40, rows + 7);
 
-    Predicate pred;
-    pred.Add(Constraint::NeqCols(0, 1));
-    pred.Add(Constraint::LtConst(0, 30));
-    ExpectIdentical(ParallelSelect(left, pred, runtime), Select(left, pred));
+      Predicate pred;
+      pred.Add(Constraint::NeqCols(0, 1));
+      pred.Add(Constraint::LtConst(0, 30));
+      ExpectSameAtBothWidths(
+          [&](const RuntimeOptions& rt, size_t* m) {
+            return Select(left, pred, rt, m);
+          },
+          wide, rows, splits);
+      for (bool dedup : {true, false}) {
+        ExpectSameAtBothWidths(
+            [&](const RuntimeOptions& rt, size_t* m) {
+              return Project(left, {1}, dedup, rt, m);
+            },
+            wide, rows, splits);
+        ExpectSameAtBothWidths(
+            [&](const RuntimeOptions& rt, size_t* m) {
+              return Project(left, {1, 0}, dedup, rt, m);
+            },
+            wide, rows, splits);
+      }
+      RowIndex idx(right.rel(), JoinKeyColumns(left, right));
+      ExpectSameAtBothWidths(
+          [&](const RuntimeOptions& rt, size_t* m) {
+            return NaturalJoin(left, right, idx, {}, rt, m).ValueOrDie();
+          },
+          wide, rows, splits);
+      // A filtered join is one chunk at any width.
+      JoinOptions filtered;
+      filtered.post_filter.Add(Constraint::NeqCols(0, 2));
+      ExpectSameAtBothWidths(
+          [&](const RuntimeOptions& rt, size_t* m) {
+            return NaturalJoin(left, right, filtered, rt, m).ValueOrDie();
+          },
+          wide, rows, /*splits=*/false);
+      ExpectSameAtBothWidths(
+          [&](const RuntimeOptions& rt, size_t* m) {
+            return Semijoin(left, right, rt, m);
+          },
+          wide, rows, splits);
 
-    ExpectIdentical(ParallelProject(left, {1}, /*dedup=*/true, runtime),
-                    Project(left, {1}, /*dedup=*/true));
-    ExpectIdentical(ParallelProject(left, {1, 0}, /*dedup=*/false, runtime),
-                    Project(left, {1, 0}, /*dedup=*/false));
-
-    RowIndex idx(right.rel(), JoinKeyColumns(left, right));
-    ExpectIdentical(ParallelJoin(left, right, idx, runtime),
-                    NaturalJoin(left, right, idx).ValueOrDie());
-
-    ExpectIdentical(ParallelSemijoin(left, right, runtime),
-                    Semijoin(left, right));
-    // All-survivors path stays zero-copy.
-    NamedRelation all = ParallelSemijoin(left, left.WithAttrs({0, 1}),
-                                         runtime);
-    EXPECT_TRUE(all.rel().SharesStorageWith(left.rel()));
+      // Zero-copy returns, at both widths. Identity select, no-op project
+      // and the degenerate semijoin do no row work; the all-survivors
+      // semijoin probes (in morsels when it splits) and then shares left.
+      for (const RuntimeOptions& rt : {RuntimeOptions{}, wide}) {
+        size_t m = 0;
+        EXPECT_TRUE(
+            Select(left, Predicate{}, rt, &m).rel().SharesStorageWith(
+                left.rel()));
+        EXPECT_TRUE(Project(left, {0, 1}, /*dedup=*/false, rt, &m)
+                        .rel()
+                        .SharesStorageWith(left.rel()));
+        EXPECT_TRUE(Semijoin(left, RandomRelation({5}, 1, 40, 1), rt, &m)
+                        .rel()
+                        .SharesStorageWith(left.rel()));
+        EXPECT_EQ(m, 0u);
+        NamedRelation all =
+            Semijoin(left, left.WithAttrs({0, 1}), rt, &m);
+        EXPECT_TRUE(all.rel().SharesStorageWith(left.rel()));
+        EXPECT_EQ(m, rt.scheduler != nullptr && splits
+                         ? ChunkCount(rows, grain)
+                         : size_t{0});
+      }
+    }
   }
 }
 
